@@ -8,9 +8,11 @@ again to differentiate again. Wrap pure inference in ``no_grad()`` so
 nothing is recorded.
 
 Dtype contract: float32 is the training dtype and matrix products go
-through BLAS. float64 is the verification dtype; its matrix products use an
-ordered inner-dimension accumulation (one multiply and one add per term, no
-FMA, fixed order) so results are bit-identical to a naive triple loop and
+through BLAS; a constant given to ``add`` or ``mul`` (scalar or array)
+adopts the tensor's dtype, so no constant can promote a float32 graph.
+float64 is the verification dtype: a matrix product with a float64 operand
+uses an ordered inner-dimension accumulation (one multiply and one add per
+term, no FMA, fixed order), bit-identical to a naive triple loop and
 independent of the BLAS kernel in use.
 """
 
@@ -172,42 +174,33 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # -- elementwise --------------------------------------------------------
 
 
+def _operand(b, dtype) -> Tensor:
+    """A tensor as is; any other operand as a constant tensor of ``dtype``."""
+    return b if isinstance(b, Tensor) else Tensor(b, dtype=dtype)
+
+
 def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        out = Tensor(a.data + b.data)
-        if _wants_grad(a, b):
-            def bwd(g, a=a, b=b):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g, a.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g, b.shape))
-            _record(out, bwd)
-        return out
-    const = np.asarray(b, dtype=a.dtype) if not np.isscalar(b) else b
-    out = Tensor(a.data + const)
-    if _wants_grad(a):
-        def bwd(g, a=a):
-            a._accumulate(_unbroadcast(g, a.shape))
+    b = _operand(b, a.dtype)
+    out = Tensor(a.data + b.data)
+    if _wants_grad(a, b):
+        def bwd(g, a=a, b=b):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.shape))
         _record(out, bwd)
     return out
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        out = Tensor(a.data * b.data)
-        if _wants_grad(a, b):
-            def bwd(g, a=a, b=b):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g * b.data, a.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g * a.data, b.shape))
-            _record(out, bwd)
-        return out
-    const = np.asarray(b, dtype=a.dtype) if not np.isscalar(b) else b
-    out = Tensor(a.data * const)
-    if _wants_grad(a):
-        def bwd(g, a=a, const=const):
-            a._accumulate(_unbroadcast(g * const, a.shape))
+    b = _operand(b, a.dtype)
+    out = Tensor(a.data * b.data)
+    if _wants_grad(a, b):
+        def bwd(g, a=a, b=b):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g * b.data, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g * a.data, b.shape))
         _record(out, bwd)
     return out
 
@@ -222,10 +215,14 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+def sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """Logistic function of an array in its own dtype, without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(y.astype(d.dtype))
+    out = Tensor(sigmoid_array(x.data))
     if _wants_grad(x):
         def bwd(g, x=x, y=out.data):
             x._accumulate(g * y * (1.0 - y))
@@ -239,9 +236,7 @@ def softplus(x: Tensor) -> Tensor:
     out = Tensor(np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0))
     if _wants_grad(x):
         def bwd(g, x=x, d=d):
-            sig = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                           np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-            x._accumulate(g * sig)
+            x._accumulate(g * sigmoid_array(d))
         _record(out, bwd)
     return out
 

@@ -63,11 +63,16 @@ def load_manifest(path: str) -> list[VideoRecord]:
     known genre are rejected."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
+        raise DataError(f"{path}: manifest has no \"samples\" list")
     if tuple(doc.get("genres", ())) != GENRES:
         raise DataError(f"{path}: manifest genre vocabulary does not match the fixed 21-genre list")
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    for entry in doc["samples"]:
+    for i, entry in enumerate(doc["samples"]):
+        missing = [k for k in ("id", "genres") if not isinstance(entry, dict) or k not in entry]
+        if missing:
+            raise DataError(f"{path}: sample {i} has no {' and no '.join(missing)}")
         known = tuple(g for g in entry["genres"] if g in GENRES)
         if not known:
             raise DataError(f"{path}: record {entry['id']} has no known genres")

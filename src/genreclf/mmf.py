@@ -84,7 +84,10 @@ def read_mmf(path: str) -> dict[str, np.ndarray]:
         (nlen,) = struct.unpack_from("<B", buf, pos)
         pos = end
         end = need(pos, nlen, "modality name")
-        name = buf[pos:end].decode("utf-8")
+        try:
+            name = buf[pos:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MmfFormatError(f"{path}: modality name is not valid UTF-8 at byte {pos}") from None
         pos = end
         if prev_name is not None and name <= prev_name:
             raise MmfFormatError(f"{path}: modalities not sorted ascending ({prev_name!r} then {name!r}) at byte {pos}")

@@ -251,15 +251,11 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> _Model:
     return _MODEL_CLASSES[config.architecture](config, seed, dtype=dtype)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-
-
 def predict_scores(model: _Model, batch: Batch) -> np.ndarray:
     """Eval-mode genre probabilities for a prepared batch. (B, 21)"""
     with no_grad():
         logits = model.forward(batch, train=False)
-    return _sigmoid(logits.data.astype(np.float64)).astype(np.float32)
+    return ag.sigmoid_array(logits.data.astype(np.float64)).astype(np.float32)
 
 
 def predict(model: _Model, record, threshold: float = None):

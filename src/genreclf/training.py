@@ -225,11 +225,12 @@ class Trainer:
             "adam_manifest": manifest,
             "dropout_rng": self.dropout_rng.state(),
             "best_step": self.history.best_step,
-            "best_map": self.history.best_map,
+            # -inf (no validation yet) is stored as null: standard JSON has no infinities
+            "best_map": self.history.best_map if np.isfinite(self.history.best_map) else None,
             "losses": self.history.losses,
         }
         with open(os.path.join(out_dir, "trainer_state.json"), "w") as fh:
-            json.dump(state, fh)
+            json.dump(state, fh, allow_nan=False)
 
     @classmethod
     def resume(cls, config: TrainConfig, train_records, val_records, state_dir: str) -> "Trainer":
@@ -247,7 +248,7 @@ class Trainer:
         t.epoch = state["epoch"]
         t.step_in_epoch = state["step_in_epoch"]
         t.history.best_step = state["best_step"]
-        t.history.best_map = state["best_map"]
+        t.history.best_map = float("-inf") if state["best_map"] is None else state["best_map"]
         t.history.losses = [tuple(x) for x in state["losses"]]
         return t
 

@@ -136,6 +136,16 @@ class TestTrain:
         rc = main(["train", "--data", mean_data, "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_manifest_entry_without_genres_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        doc = {"genres": list(GENRES), "samples": [{"id": "v0", "duration_s": 50.0, "path": None}]}
+        (data / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "sample 0 has no genres" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(mean_data, tmp_path_factory):

@@ -213,6 +213,14 @@ class TestMmf:
         with pytest.raises(MmfFormatError, match="sorted"):
             read_mmf(str(path))
 
+    def test_non_utf8_name_reports_offset(self, tmp_path):
+        import struct
+        blob = b"MMF1" + struct.pack("<HH", 1, 1) + struct.pack("<B", 2) + b"\xff\xfe" + struct.pack("<II", 0, 2)
+        path = tmp_path / "latin.mmf"
+        path.write_bytes(blob)
+        with pytest.raises(MmfFormatError, match="not valid UTF-8 at byte 9"):
+            read_mmf(str(path))
+
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(MmfFormatError, match="non-finite"):
             write_mmf({"clip": np.array([[np.inf, 0.0]], dtype=np.float32)}, str(tmp_path / "x.mmf"))
@@ -316,4 +324,18 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="no known genres"):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"genres": list(GENRES)}, "no \"samples\" list"),
+        ([], "no \"samples\" list"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": 50.0}]}, "sample 0 has no genres"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "genres": ["Action"]}, {"genres": ["Action"]}]},
+         "sample 1 has no id"),
+        ({"genres": list(GENRES), "samples": ["x"]}, "sample 0 has no id and no genres"),
+    ], ids=["no-samples", "not-an-object", "no-genres", "no-id", "entry-not-an-object"])
+    def test_missing_keys_are_data_errors(self, tmp_path, doc, match):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
             load_manifest(str(path))

@@ -1,11 +1,16 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 import genreclf.autograd as ag
-from genreclf.autograd import Tensor, backward
+import genreclf.training as training
+from genreclf.autograd import Tensor, backward, no_grad
+from genreclf.data import make_batch
 from genreclf.errors import DataError, NumericError
 from genreclf.gradcheck import grad_check
-from genreclf.models import ModelConfig, build_model
+from genreclf.models import ARCHITECTURES, ModelConfig, build_model, predict_scores
 from genreclf.modalities import ModalitySpec
 from genreclf.rng import SeededRng
 from genreclf.synth import synth_mean_encoded
@@ -201,6 +206,29 @@ class TestTrainer:
         for k, t in full_model.params.items():
             assert np.array_equal(t.data, resumed.model.params[k].data)
 
+    def test_trainer_state_is_standard_json(self, tmp_path):
+        records = mean_records(24, seed=41)
+        full_model, full_hist = train(
+            TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=43), records)
+
+        part_dir = str(tmp_path / "noval")
+        train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=2, seed=43,
+                          checkpoint_dir=part_dir), records)   # no validation: best_map stays -inf
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(os.path.join(part_dir, "trainer_state.json")) as fh:
+            state = json.load(fh, parse_constant=reject)
+        assert state["best_map"] is None
+
+        resumed = Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=43),
+                                 records, (), part_dir)
+        assert resumed.history.best_map == float("-inf")
+        assert resumed.run().losses == full_hist.losses
+        for k, t in full_model.params.items():
+            assert np.array_equal(t.data, resumed.model.params[k].data)
+
     def test_best_checkpoint_tracks_validation_map(self, tmp_path):
         records = mean_records(32, seed=31)
         cfg = TrainConfig(model=small_config(), lr=5e-3, batch_size=8, epochs=4, seed=33,
@@ -268,3 +296,42 @@ class TestEvaluate:
         after = model.params.to_arrays()
         for k in before:
             assert np.array_equal(before[k], after[k])
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_float32_preset_stays_float32(arch, monkeypatch):
+    """A float32 model trains and scores in float32 throughout: every tape
+    node, every gradient and the logits, with no ordered float64 product."""
+    def ordered_product(a, b):
+        raise AssertionError(f"float64 matmul on {a.dtype} @ {b.dtype} in a float32 model")
+
+    nodes, logits = [], []
+    record, bce = ag._record, training.weighted_bce
+
+    def spy_record(out, fn):
+        nodes.append(out)
+        return record(out, fn)
+
+    def spy_bce(z, targets, positive_weight):
+        logits.append(z)
+        return bce(z, targets, positive_weight)
+
+    monkeypatch.setattr(ag, "_matmul_ordered", ordered_product)
+    monkeypatch.setattr(ag, "_record", spy_record)
+    monkeypatch.setattr(training, "weighted_bce", spy_bce)
+
+    config = ModelConfig.preset(arch)
+    records = synth_mean_encoded(2, seed=51, specs=config.modalities)
+    trainer = Trainer(TrainConfig(model=config, lr=1e-3, batch_size=2, max_steps=1, seed=53), records)
+    trainer.run()
+    assert len(trainer.history.losses) == 1 and len(logits) == 1 and nodes
+    assert logits[0].dtype == np.float32
+    assert {n.dtype for n in nodes} == {np.dtype(np.float32)}
+    assert {n.grad.dtype for n in nodes if n.grad is not None} == {np.dtype(np.float32)}
+    grads = [p.grad for p in trainer.model.params.tensors()]
+    assert all(g is not None and g.dtype == np.float32 for g in grads)
+
+    batch = make_batch(records[:1], config.modalities, lengths="full")
+    with no_grad():
+        assert trainer.model.forward(batch).dtype == np.float32
+    assert predict_scores(trainer.model, batch).dtype == np.float32

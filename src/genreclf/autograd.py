@@ -413,7 +413,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0).astype(bias.dtype))
             if x.requires_grad:
                 gg = g * gain.data
-                n = xhat.shape[-1]
                 term = gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
                 x._accumulate((term * inv).astype(x.dtype))
         _record(out, bwd)

@@ -3,69 +3,95 @@
 ``<stem>.json`` holds the model config, the genre vocabulary, the format
 version and a parameter manifest (name / shape / byte offset); ``<stem>.bin``
 is the concatenation of all parameters as little-endian float32 in manifest
-order. Loading validates names, shapes and blob length.
+order. Loading validates the document, names, shapes and blob length.
+
+Each file is replaced atomically, the blob first. Every save of one model
+writes the same JSON, so a save that fails part way leaves a loadable pair.
 """
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .mmf import write_atomic
 from .models import ModelConfig, build_model
 from .vocab import GENRES
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 
+def write_blob(bin_path: str, arrays: dict[str, np.ndarray]) -> list[dict]:
+    """Write ``arrays`` as one little-endian float32 blob and return the
+    manifest that ``read_blob`` takes to read them back."""
+    raws = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays.values()]
+    write_atomic(bin_path, b"".join(raws))
+    offsets = itertools.accumulate((len(raw) for raw in raws), initial=0)
+    return [{"name": name, "shape": list(arr.shape), "offset": offset}
+            for (name, arr), offset in zip(arrays.items(), offsets)]
+
+
 def save_checkpoint(model, stem: str):
-    manifest = []
-    blobs = []
-    offset = 0
-    for name, t in model.params.items():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(t.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+    os.makedirs(os.path.dirname(os.path.abspath(stem)), exist_ok=True)
+    manifest = write_blob(stem + ".bin", {name: t.data for name, t in model.params.items()})
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_dict(),
         "genres": list(GENRES),
         "parameters": manifest,
     }
-    os.makedirs(os.path.dirname(os.path.abspath(stem)), exist_ok=True)
-    with open(stem + ".json", "w") as fh:
-        json.dump(doc, fh, indent=1)
-    with open(stem + ".bin", "wb") as fh:
-        fh.write(b"".join(blobs))
+    write_atomic(stem + ".json", json.dumps(doc, indent=1).encode())
 
 
 def read_blob(bin_path: str, manifest: list[dict]) -> dict[str, np.ndarray]:
+    if not isinstance(manifest, list):
+        raise DataError(f"{bin_path}: the parameter manifest is not a list")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
     arrays = {}
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in [entry.get("offset"), *entry["shape"]])):
+            raise DataError(f"{bin_path}: manifest entry {entry!r} is not "
+                            "{name: string, shape: [int >= 0], offset: int >= 0}")
+        name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        count = math.prod(shape)
         end = start + 4 * count
         if end > len(blob):
-            raise DataError(f"{bin_path}: blob too short for {entry['name']} (need byte {end}, have {len(blob)})")
-        arrays[entry["name"]] = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape).copy()
+            raise DataError(f"{bin_path}: blob too short for {name} (need byte {end}, have {len(blob)})")
+        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape).copy()
     return arrays
+
+
+def read_checkpoint(stem: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """The model config in ``<stem>.json`` and the parameter arrays it
+    describes in ``<stem>.bin``."""
+    with open(stem + ".json") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataError(f"{stem}.json: checkpoint is not a JSON object")
+    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise DataError(f"{stem}.json: unsupported checkpoint format version {doc.get('format_version')}")
+    if doc.get("genres") != list(GENRES):
+        raise DataError(f"{stem}.json: checkpoint genre vocabulary does not match this build")
+    try:
+        config = ModelConfig.from_dict(doc.get("config"))
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{stem}.json: malformed model config: {exc!r}")
+    return config, read_blob(stem + ".bin", doc.get("parameters"))
 
 
 def load_checkpoint(stem: str):
     """Rebuild the model described by ``<stem>.json`` with the parameters
     stored in ``<stem>.bin``."""
-    with open(stem + ".json") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"{stem}.json: unsupported checkpoint format version {doc.get('format_version')}")
-    if tuple(doc.get("genres", ())) != GENRES:
-        raise DataError(f"{stem}.json: checkpoint genre vocabulary does not match this build")
-    config = ModelConfig.from_dict(doc["config"])
+    config, arrays = read_checkpoint(stem)
     model = build_model(config, seed=0)
-    arrays = read_blob(stem + ".bin", doc["parameters"])
-    model.params.load_arrays(arrays)
+    try:
+        model.params.load_arrays(arrays)
+    except ValueError as exc:
+        raise DataError(f"{stem}: {exc}")
     return model

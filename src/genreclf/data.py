@@ -73,13 +73,16 @@ def load_manifest(path: str) -> list[VideoRecord]:
         missing = [k for k in ("id", "genres") if not isinstance(entry, dict) or k not in entry]
         if missing:
             raise DataError(f"{path}: sample {i} has no {' and no '.join(missing)}")
+        duration = entry.get("duration_s")
+        if duration is not None and (type(duration) not in (int, float) or duration != duration):
+            raise DataError(f"{path}: record {entry['id']} has a duration_s that is not a number: {duration!r}")
         known = tuple(g for g in entry["genres"] if g in GENRES)
         if not known:
             raise DataError(f"{path}: record {entry['id']} has no known genres")
         rec_path = entry.get("path")
         records.append(VideoRecord(
             id=entry["id"],
-            duration_s=entry.get("duration_s"),
+            duration_s=duration,
             genres=known,
             path=os.path.join(base, rec_path) if rec_path else None,
         ))
@@ -159,18 +162,15 @@ def split_records(records) -> dict[str, list[VideoRecord]]:
 def temporal_average(seq: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
     """Mean over valid time steps, or a zero vector when none are valid.
 
+    ``seq`` is (..., T, D) with an optional (..., T) validity mask; the
+    result is (..., D) float32, so a (B, T, D) batch gives (B, D).
     Accumulates in float64 before narrowing back so the result does not
     depend on frame order.
     """
-    x = np.asarray(seq, dtype=np.float64)
-    if mask is not None:
-        valid = int(mask.sum())
-        if valid == 0:
-            return np.zeros(x.shape[-1], dtype=np.float32)
-        x = x[np.asarray(mask, dtype=bool)]
-    elif x.shape[0] == 0:
-        return np.zeros(x.shape[-1], dtype=np.float32)
-    return x.mean(axis=0).astype(np.float32)
+    x = np.asarray(seq)
+    valid = np.ones(x.shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=valid[..., None])
+    return (total / np.maximum(valid.sum(axis=-1, keepdims=True), 1)).astype(np.float32)
 
 
 def make_batch(records, specs, lengths: str = "train") -> Batch:

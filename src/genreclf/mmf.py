@@ -53,9 +53,15 @@ def write_mmf(features: dict[str, np.ndarray], path: str):
         blobs.append(nb)
         blobs.append(struct.pack("<II", t, d))
         blobs.append(data.tobytes())
+    write_atomic(path, b"".join(blobs))
+
+
+def write_atomic(path: str, data: bytes):
+    """Write ``data`` to a temporary file and move it over ``path``, so a
+    write that fails part way leaves any previous ``path`` whole."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(b"".join(blobs))
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -8,7 +8,7 @@ sequence is collapsed to its mean before the model sees it, an option used
 for the noisier text-derived streams.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,7 @@ class ModalitySpec:
     temporal_average: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "input_dim": self.input_dim,
-            "train_max_len": self.train_max_len,
-            "temporal_average": self.temporal_average,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":

@@ -15,7 +15,7 @@ to the table length on the transformer paths (the tables bound usable
 positions); the MLP path always consumes the full duration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,16 +69,7 @@ class ModelConfig:
         return cls(architecture=architecture, **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "model_dim": self.model_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "dropout_rate": self.dropout_rate,
-            "modalities": [s.to_dict() for s in self.modalities],
-            "positive_weight": self.positive_weight,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -104,16 +95,15 @@ def _modality_batch(batch: Batch, spec: ModalitySpec):
     return x, m
 
 
-def _masked_means(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Per-sample temporal mean over valid positions. (B, L, D) -> (B, D)"""
-    return np.stack([temporal_average(x[i], m[i]) for i in range(x.shape[0])]) if x.shape[0] else \
-        np.zeros((0, x.shape[2]), dtype=np.float32)
+def _per_sample(vec: Tensor, b: int) -> Tensor:
+    """A learned (D,) vector as one (B, 1, D) token per sample."""
+    d = vec.shape[0]
+    return ag.broadcast_to(ag.reshape(vec, (1, 1, d)), (b, 1, d))
 
 
 class _Model:
     def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
         self.config = config
-        self.seed = seed
         self.params = ParameterStore(dtype=dtype)
         self._build(SeededRng(derive_seed(seed, "init")))
 
@@ -122,6 +112,21 @@ class _Model:
 
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
         raise NotImplementedError
+
+
+class _TransformerModel(_Model):
+    def _stream_tokens(self, batch: Batch, spec: ModalitySpec):
+        """The head of one modality's sequence, up to its positional table,
+        projected to model width with learned positions added; an averaged
+        stream becomes one token, the mean of that head. -> (tokens, mask)"""
+        x, m = _modality_batch(batch, spec)
+        x, m = x[:, :spec.train_max_len], m[:, :spec.train_max_len]
+        if spec.temporal_average:
+            x, m = temporal_average(x, m)[:, None, :], m.any(axis=1, keepdims=True)
+        tokens = self.proj[spec.name](Tensor(x))
+        if x.shape[1] > 0:
+            tokens = ag.add(tokens, ag.getitem(self.params[f"pos.{spec.name}"], slice(0, x.shape[1])))
+        return tokens, m
 
 
 class MlpModel(_Model):
@@ -136,13 +141,13 @@ class MlpModel(_Model):
         cols = []
         for spec in self.config.modalities:
             x, m = _modality_batch(batch, spec)
-            cols.append(_masked_means(x, m))
+            cols.append(temporal_average(x, m))
         h = ag.relu(self.hidden(Tensor(np.concatenate(cols, axis=1))))
         h = ag.dropout(h, self.config.dropout_rate, train, rng)
         return self.head(h)
 
 
-class SingleTransformerModel(_Model):
+class SingleTransformerModel(_TransformerModel):
     """One fused sequence: [CLS, SEP_m, frames_m, SEP_m', frames_m', ...]."""
 
     def _build(self, rng: SeededRng):
@@ -162,29 +167,15 @@ class SingleTransformerModel(_Model):
     def _assemble(self, batch: Batch):
         """Project, position and fuse the enabled modalities into one
         sequence per sample, returning (sequence Tensor, validity mask)."""
-        cfg = self.config
         b = batch.size
         ones = np.ones((b, 1), dtype=bool)
-        segs = [ag.broadcast_to(ag.reshape(self.params["cls"], (1, 1, cfg.model_dim)), (b, 1, cfg.model_dim))]
+        segs = [_per_sample(self.params["cls"], b)]
         mask_parts = [ones]
-        for spec in cfg.modalities:
-            x, m = _modality_batch(batch, spec)
-            if x.shape[1] > spec.train_max_len:
-                x = x[:, :spec.train_max_len]
-                m = m[:, :spec.train_max_len]
-            if spec.temporal_average:
-                x = _masked_means(x, m)[:, None, :]
-                m = m.any(axis=1, keepdims=True)
-            sep = ag.broadcast_to(ag.reshape(self.params[f"sep.{spec.name}"], (1, 1, cfg.model_dim)),
-                                  (b, 1, cfg.model_dim))
-            segs.append(sep)
-            mask_parts.append(ones)
-            proj = self.proj[spec.name](Tensor(x))
-            t = x.shape[1]
-            if t > 0:
-                proj = ag.add(proj, ag.getitem(self.params[f"pos.{spec.name}"], slice(0, t)))
-            segs.append(proj)
-            mask_parts.append(m)
+        for spec in self.config.modalities:
+            segs.append(_per_sample(self.params[f"sep.{spec.name}"], b))
+            tokens, m = self._stream_tokens(batch, spec)
+            segs.append(tokens)
+            mask_parts += [ones, m]
         return ag.concat(segs, axis=1), np.concatenate(mask_parts, axis=1)
 
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
@@ -194,7 +185,7 @@ class SingleTransformerModel(_Model):
         return self.head(x[:, 0])
 
 
-class MultiTransformerModel(_Model):
+class MultiTransformerModel(_TransformerModel):
     """Per-modality encoders whose CLS outputs are concatenated channel-wise.
     Averaged streams contribute their projected mean vector directly."""
 
@@ -215,24 +206,15 @@ class MultiTransformerModel(_Model):
         self.head = Linear(self.params, "head", cfg.model_dim * len(cfg.modalities), NUM_GENRES, rng)
 
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
-        cfg = self.config
         b = batch.size
         cols = []
-        for spec in cfg.modalities:
-            x, m = _modality_batch(batch, spec)
+        for spec in self.config.modalities:
             if spec.temporal_average:
-                cols.append(self.proj[spec.name](Tensor(_masked_means(x, m))))
+                x, m = _modality_batch(batch, spec)
+                cols.append(self.proj[spec.name](Tensor(temporal_average(x, m))))
                 continue
-            if x.shape[1] > spec.train_max_len:
-                x = x[:, :spec.train_max_len]
-                m = m[:, :spec.train_max_len]
-            proj = self.proj[spec.name](Tensor(x))
-            t = x.shape[1]
-            if t > 0:
-                proj = ag.add(proj, ag.getitem(self.params[f"pos.{spec.name}"], slice(0, t)))
-            cls = ag.broadcast_to(ag.reshape(self.params[f"cls.{spec.name}"], (1, 1, cfg.model_dim)),
-                                  (b, 1, cfg.model_dim))
-            seq = ag.concat([cls, proj], axis=1)
+            tokens, m = self._stream_tokens(batch, spec)
+            seq = ag.concat([_per_sample(self.params[f"cls.{spec.name}"], b), tokens], axis=1)
             mask = np.concatenate([np.ones((b, 1), dtype=bool), m], axis=1)
             for layer in self.encoders[spec.name]:
                 seq = layer(seq, mask, train, rng)

@@ -5,16 +5,17 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .checkpoint import read_blob, save_checkpoint, load_checkpoint
+from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
 from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricsReport, compute_report
+from .mmf import write_atomic
 from .models import ModelConfig, build_model, predict_scores
 from .optim import Adam, clip_global_norm
 from .rng import SeededRng, derive_seed
@@ -54,17 +55,7 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "clip_norm": self.clip_norm,
-            "epochs": self.epochs,
-            "max_steps": self.max_steps,
-            "eval_interval": self.eval_interval,
-            "seed": self.seed,
-            "checkpoint_dir": self.checkpoint_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -206,16 +197,7 @@ class Trainer:
     def save_state(self, out_dir: str):
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(self.model, os.path.join(out_dir, "last"))
-        manifest = []
-        blobs = []
-        offset = 0
-        for name, arr in self.adam.state_arrays().items():
-            raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            blobs.append(raw)
-            offset += len(raw)
-        with open(os.path.join(out_dir, "trainer_state.bin"), "wb") as fh:
-            fh.write(b"".join(blobs))
+        manifest = write_blob(os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
         state = {
             "version": TRAINER_STATE_VERSION,
             "global_step": self.global_step,
@@ -229,18 +211,21 @@ class Trainer:
             "best_map": self.history.best_map if np.isfinite(self.history.best_map) else None,
             "losses": self.history.losses,
         }
-        with open(os.path.join(out_dir, "trainer_state.json"), "w") as fh:
-            json.dump(state, fh, allow_nan=False)
+        write_atomic(os.path.join(out_dir, "trainer_state.json"), json.dumps(state, allow_nan=False).encode())
 
     @classmethod
     def resume(cls, config: TrainConfig, train_records, val_records, state_dir: str) -> "Trainer":
+        """Continue the run saved in ``state_dir``. ``config.model`` must be
+        the model config of the saved ``last`` checkpoint."""
         with open(os.path.join(state_dir, "trainer_state.json")) as fh:
             state = json.load(fh)
         if state.get("version") != TRAINER_STATE_VERSION:
             raise DataError(f"unsupported trainer state version {state.get('version')}")
+        saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"))
+        if saved_model != config.model:
+            raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
         t = cls(config, train_records, val_records)
-        t.model = load_checkpoint(os.path.join(state_dir, "last"))
-        t.adam = Adam(t.model.params, lr=config.lr)
+        t.model.params.load_arrays(arrays)
         t.adam.load_state_arrays(read_blob(os.path.join(state_dir, "trainer_state.bin"),
                                            state["adam_manifest"]), state["adam_t"])
         t.dropout_rng = SeededRng.from_state(state["dropout_rng"])

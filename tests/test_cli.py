@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from genreclf.cli import main
 from genreclf.metrics import report_from_csv
 from genreclf.vocab import GENRES
+
+DROP = object()   # marks a key or list item to delete from a JSON document
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +149,16 @@ class TestTrain:
         assert rc == 3
         assert "sample 0 has no genres" in err and "Traceback" not in err
 
+    def test_non_numeric_duration_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        doc = {"genres": list(GENRES), "samples": [{"id": "v0", "duration_s": "50", "genres": ["Action"]}]}
+        (data / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "record v0 has a duration_s that is not a number" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(mean_data, tmp_path_factory):
@@ -184,6 +197,47 @@ class TestEvalPredict:
         out = capsys.readouterr().out
         for g in GENRES:
             assert g in out
+
+    @pytest.mark.parametrize("keys, value", [
+        ((), []),
+        (("parameters",), DROP),
+        (("parameters",), {}),
+        (("config",), DROP),
+        (("config",), "mlp"),
+        (("config", "architecture"), DROP),
+        (("config", "modalities", 0), "clip"),
+        (("parameters", 0, "name"), DROP),
+        (("parameters", 0, "shape"), DROP),
+        (("parameters", 0, "offset"), DROP),
+        (("parameters", 0, "offset"), -4),
+        (("parameters", 0, "shape"), [-1, 2]),
+        (("parameters", 0, "shape"), "16"),
+        (("parameters", 0), "hidden.w"),
+        (("parameters", 0), DROP),
+    ], ids=["top-level-list", "no-parameters", "parameters-not-a-list", "no-config", "config-not-an-object",
+            "config-without-architecture", "modality-not-an-object", "entry-without-name",
+            "entry-without-shape", "entry-without-offset", "negative-offset", "negative-shape",
+            "shape-not-a-list", "entry-not-an-object", "missing-parameter"])
+    def test_malformed_checkpoint_is_data_error(self, mean_data, trained, tmp_path, capsys, keys, value):
+        stem = str(tmp_path / "ck")
+        shutil.copy(os.path.join(trained, "best.bin"), stem + ".bin")
+        doc = json.load(open(os.path.join(trained, "best.json")))
+        if not keys:
+            doc = value
+        else:
+            target = doc
+            for k in keys[:-1]:
+                target = target[k]
+            if value is DROP:
+                del target[keys[-1]]
+            else:
+                target[keys[-1]] = value
+        with open(stem + ".json", "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["eval", "--checkpoint", stem, "--data", mean_data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "data error" in err and "Traceback" not in err
 
     def test_missing_checkpoint_is_error(self, mean_data, tmp_path):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope"),

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genreclf.data import (VideoRecord, filter_by_duration, load_manifest, make_batch,
                            split_dataset, temporal_average, write_manifest)
@@ -92,6 +94,25 @@ class TestTemporalAverage:
         for seed in range(10):
             perm = SeededRng(seed).permutation(216)
             assert np.array_equal(base, temporal_average(x[perm]))
+
+    @settings(max_examples=300, deadline=None)
+    @example((np.zeros((0, 3, 2), np.float32), np.zeros((0, 3), bool)))
+    @example((np.ones((2, 0, 3), np.float32), np.zeros((2, 0), bool)))
+    @example((np.arange(12, dtype=np.float32).reshape(2, 3, 2), np.array([[False] * 3, [True, False, True]])))
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(1, 6)).flatmap(
+        lambda s: st.tuples(hnp.arrays(np.float32, s, elements=st.floats(-1e6, 1e6, width=32)),
+                            hnp.arrays(np.bool_, s[:2]))))
+    def test_batched_equals_per_row(self, case):
+        # any mask: empty batches and sequences, all-False rows, gaps; the
+        # direct per-row mean is the loop this batched form replaced
+        x, mask = case
+        batched = temporal_average(x, mask)
+        assert batched.shape == (x.shape[0], x.shape[2]) and batched.dtype == np.float32
+        for i in range(x.shape[0]):
+            row = temporal_average(x[i], mask[i])
+            valid = x[i][mask[i]].astype(np.float64)
+            direct = valid.mean(axis=0).astype(np.float32) if len(valid) else np.zeros(x.shape[2], np.float32)
+            assert np.array_equal(batched[i], row) and np.array_equal(row, direct)
 
 
 SMALL_SPECS = (ModalitySpec("clip", 8, 6), ModalitySpec("ocr", 4, 3))
@@ -318,6 +339,13 @@ class TestManifest:
         with pytest.raises(DataError, match="vocabulary"):
             load_manifest(str(path))
 
+    def test_integer_or_null_duration_accepted(self, tmp_path):
+        doc = {"genres": list(GENRES), "samples": [{"id": "a", "duration_s": 50, "genres": ["Action"]},
+                                                    {"id": "b", "duration_s": None, "genres": ["Action"]}]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert [r.duration_s for r in load_manifest(str(path))] == [50, None]
+
     def test_record_without_known_genre_rejected(self, tmp_path):
         doc = {"genres": list(GENRES),
                "samples": [{"id": "x", "duration_s": 50.0, "genres": ["Telenovela"], "path": None}]}
@@ -333,7 +361,16 @@ class TestManifest:
         ({"genres": list(GENRES), "samples": [{"id": "x", "genres": ["Action"]}, {"genres": ["Action"]}]},
          "sample 1 has no id"),
         ({"genres": list(GENRES), "samples": ["x"]}, "sample 0 has no id and no genres"),
-    ], ids=["no-samples", "not-an-object", "no-genres", "no-id", "entry-not-an-object"])
+        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": "50", "genres": ["Action"]}]},
+         "record x has a duration_s that is not a number: '50'"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": True, "genres": ["Action"]}]},
+         "record x has a duration_s that is not a number: True"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": [50.0], "genres": ["Action"]}]},
+         "record x has a duration_s that is not a number"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": float("nan"), "genres": ["Action"]}]},
+         "record x has a duration_s that is not a number: nan"),
+    ], ids=["no-samples", "not-an-object", "no-genres", "no-id", "entry-not-an-object",
+            "duration-string", "duration-bool", "duration-list", "duration-nan"])
     def test_missing_keys_are_data_errors(self, tmp_path, doc, match):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))

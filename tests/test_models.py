@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import genreclf.mmf as mmf
 from genreclf.autograd import no_grad
 from genreclf.checkpoint import load_checkpoint, save_checkpoint
 from genreclf.data import VideoRecord, make_batch
@@ -320,3 +321,39 @@ class TestCheckpoint:
         open(stem + ".bin", "wb").write(blob[:-8])
         with pytest.raises(DataError, match="too short"):
             load_checkpoint(stem)
+
+    @pytest.mark.parametrize("failing_write, survivor_seed", [(1, 35), (2, 36)], ids=["in-blob", "in-json"])
+    def test_failed_save_leaves_a_loadable_pair(self, tmp_path, monkeypatch, failing_write, survivor_seed):
+        # The blob is written before its JSON, and both JSON documents are the
+        # same: a save cut short in the blob keeps the old pair, one cut short
+        # in the JSON has already committed the new blob.
+        stem = str(tmp_path / "best")
+        save_checkpoint(build_model(toy_config("mlp"), seed=35), stem)
+        opened = []
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def failing_open(path, mode="r"):
+            opened.append(path)
+            fh = open(path, mode)
+            return HalfWrite(fh) if len(opened) == failing_write else fh
+
+        monkeypatch.setattr(mmf, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(toy_config("mlp"), seed=36), stem)
+        monkeypatch.undo()
+        loaded = load_checkpoint(stem)
+        for name, t in build_model(toy_config("mlp"), seed=survivor_seed).params.items():
+            assert np.array_equal(t.data, loaded.params[name].data)

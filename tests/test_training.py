@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import genreclf.autograd as ag
+import genreclf.checkpoint as checkpoint
 import genreclf.training as training
 from genreclf.autograd import Tensor, backward, no_grad
 from genreclf.data import make_batch
-from genreclf.errors import DataError, NumericError
+from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.gradcheck import grad_check
 from genreclf.models import ARCHITECTURES, ModelConfig, build_model, predict_scores
 from genreclf.modalities import ModalitySpec
@@ -228,6 +229,32 @@ class TestTrainer:
         assert resumed.run().losses == full_hist.losses
         for k, t in full_model.params.items():
             assert np.array_equal(t.data, resumed.model.params[k].data)
+
+    def test_resume_rejects_another_model_config(self, tmp_path):
+        records = mean_records(16, seed=51)
+        part_dir = str(tmp_path / "part")
+        train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=1, seed=53,
+                          checkpoint_dir=part_dir), records)
+        other = TrainConfig(model=small_config(model_dim=24), lr=1e-3, batch_size=8, epochs=2, seed=53)
+        with pytest.raises(ConfigError, match="saved model config differs"):
+            Trainer.resume(other, records, (), part_dir)
+
+    def test_resume_builds_one_model(self, tmp_path, monkeypatch):
+        records = mean_records(16, seed=55)
+        part_dir = str(tmp_path / "part")
+        train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=1, seed=57,
+                          checkpoint_dir=part_dir), records)
+        built = []
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build_model(*args, **kwargs)
+
+        monkeypatch.setattr(training, "build_model", counting_build)
+        monkeypatch.setattr(checkpoint, "build_model", counting_build)
+        Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=57),
+                       records, (), part_dir)
+        assert len(built) == 1
 
     def test_best_checkpoint_tracks_validation_map(self, tmp_path):
         records = mean_records(32, seed=31)

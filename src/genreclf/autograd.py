@@ -13,7 +13,10 @@ adopts the tensor's dtype, so no constant can promote a float32 graph.
 float64 is the verification dtype: a matrix product with a float64 operand
 uses an ordered inner-dimension accumulation (one multiply and one add per
 term, no FMA, fixed order), bit-identical to a naive triple loop and
-independent of the BLAS kernel in use.
+independent of the BLAS kernel in use. A gradient takes its tensor's dtype
+in one place, ``Tensor._accumulate``: the first contribution is stored as a
+C-order copy in that dtype, and each later one is rounded to it before it is
+added, so backward closures pass their results on uncast.
 """
 
 import numpy as np
@@ -55,16 +58,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray):
+        # The first contribution is copied, in C order: inputs of one node
+        # may receive views of one upstream gradient, and a fixed layout keeps
+        # the summation order of later reductions and matrix products
+        # independent of which view arrived first.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
     # -- sugar ------------------------------------------------------------
     def __add__(self, other):
@@ -73,17 +78,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -291,7 +290,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         def bwd(g, x=x, axis=axis, keepdims=keepdims):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype))
+            x._accumulate(np.broadcast_to(g, x.shape))
         _record(out, bwd)
     return out
 
@@ -303,7 +302,7 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         def bwd(g, x=x, axis=axis, keepdims=keepdims, count=count):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            x._accumulate((np.broadcast_to(g, x.shape) / count).astype(x.dtype))
+            x._accumulate(np.broadcast_to(g, x.shape) / count)
         _record(out, bwd)
     return out
 
@@ -368,30 +367,23 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 def softmax_rows(x: Tensor, mask: np.ndarray = None) -> Tensor:
     """Row-stable softmax over the last axis, with optional validity mask.
 
-    Masked (pad) entries get weight exactly 0; each row of valid entries
-    sums to 1. A row with no valid entries comes out all zeros instead of
-    producing NaNs, which keeps gradients clean for fully-padded queries.
+    ``mask`` is a bool array that broadcasts against ``x``. Masked (pad)
+    entries are set to -inf before the row max is taken, so each comes out
+    as exp(-inf) = 0 exactly; each row of valid entries sums to 1. A row with
+    no valid entries comes out all zeros instead of producing NaNs, which
+    keeps gradients clean for fully-padded queries.
     """
-    d = x.data
-    if mask is None:
-        m = d.max(axis=-1, keepdims=True)
-        e = np.exp(d - m)
-        y = e / e.sum(axis=-1, keepdims=True)
-    else:
-        valid = np.broadcast_to(mask, d.shape)
-        neg = np.where(valid, d, -np.inf)
-        m = neg.max(axis=-1, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        # masked entries are pinned to the row max before exp so nothing
-        # overflows; they are zeroed immediately after
-        e = np.exp(np.where(valid, d, m) - m) * valid
-        denom = e.sum(axis=-1, keepdims=True)
-        y = e / np.where(denom > 0, denom, 1.0)
-    out = Tensor(y.astype(d.dtype))
+    d = x.data if mask is None else np.where(mask, x.data, -np.inf)
+    m = d.max(axis=-1, keepdims=True)
+    # a row with no valid entry has max -inf; 0 keeps d - m at -inf there
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(d - m)
+    denom = e.sum(axis=-1, keepdims=True)
+    out = Tensor(e / np.where(denom > 0, denom, 1.0))
     if _wants_grad(x):
         def bwd(g, x=x, y=out.data):
             dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate((y * (g - dot)).astype(x.dtype))
+            x._accumulate(y * (g - dot))
         _record(out, bwd)
     return out
 
@@ -404,17 +396,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = ((d - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (d - mu) * inv
-    out = Tensor((xhat * gain.data + bias.data).astype(d.dtype))
+    out = Tensor((xhat * gain.data + bias.data).astype(d.dtype, copy=False))
     if _wants_grad(x, gain, bias):
         def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
             if gain.requires_grad:
-                gain._accumulate((g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0).astype(gain.dtype))
+                gain._accumulate((g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
             if bias.requires_grad:
-                bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0).astype(bias.dtype))
+                bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
             if x.requires_grad:
                 gg = g * gain.data
                 term = gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate((term * inv).astype(x.dtype))
+                x._accumulate(term * inv)
         _record(out, bwd)
     return out
 

@@ -19,7 +19,7 @@ from .data import (VideoRecord, filter_by_duration, load_manifest,
                    split_records, write_manifest)
 from .errors import ConfigError, DataError, NumericError
 from .metrics import format_table, to_csv
-from .mmf import import_npy, write_mmf
+from .mmf import import_npy, write_atomic, write_mmf
 from .models import ModelConfig, predict
 from .modalities import default_modalities
 from .checkpoint import load_checkpoint
@@ -42,8 +42,7 @@ def _write_run_manifest(out_dir: str, command: str, resolved: dict, seed: int):
         "version": __version__,
         "resolved_config": resolved,
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-        json.dump(doc, fh, indent=1)
+    write_atomic(os.path.join(out_dir, "run_manifest.json"), json.dumps(doc, indent=1).encode())
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -130,8 +129,7 @@ def cmd_train(args) -> int:
           f"(dropped: short={stats.dropped_short} long={stats.dropped_long} "
           f"no-duration={stats.dropped_missing_duration})")
     history = trainer.run()
-    with open(os.path.join(args.out, "history.csv"), "w") as fh:
-        fh.write(history.to_csv())
+    write_atomic(os.path.join(args.out, "history.csv"), history.to_csv().encode())
     if splits["val"]:
         report = evaluate(trainer.model, splits["val"])
         print(format_table(report))
@@ -149,11 +147,9 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_run_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "split": args.split,
                                            "threshold": args.threshold}, args.seed or 0)
-    with open(os.path.join(args.out, "report.csv"), "w") as fh:
-        fh.write(to_csv(report))
+    write_atomic(os.path.join(args.out, "report.csv"), to_csv(report).encode())
     text = format_table(report)
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(text + "\n")
+    write_atomic(os.path.join(args.out, "report.txt"), (text + "\n").encode())
     print(text)
     return 0
 
@@ -221,10 +217,8 @@ def cmd_ablate(args) -> int:
     rows_out = _run_rows(jobs, args.threads)
     for label, mean_ap in rows_out:
         print(f"{label:<40} mAP={mean_ap * 100:.2f}")
-    with open(os.path.join(args.out, "ablation.csv"), "w") as fh:
-        fh.write("features,mAP\n")
-        for label, mean_ap in rows_out:
-            fh.write(f"{label},{mean_ap!r}\n")
+    write_atomic(os.path.join(args.out, "ablation.csv"),
+                 ("features,mAP\n" + "".join(f"{label},{mean_ap!r}\n" for label, mean_ap in rows_out)).encode())
     return 0
 
 
@@ -270,10 +264,8 @@ def cmd_frames_sweep(args) -> int:
     rows = [(key[0], key[1], mean_ap) for key, mean_ap in _run_rows(jobs, args.threads)]
     for n_frames, arch, mean_ap in rows:
         print(f"n={n_frames:<4} {arch:<20} mAP={mean_ap * 100:.2f}")
-    with open(os.path.join(args.out, "frames_sweep.csv"), "w") as fh:
-        fh.write("frames,model,mAP\n")
-        for n_frames, arch, mean_ap in rows:
-            fh.write(f"{n_frames},{arch},{mean_ap!r}\n")
+    write_atomic(os.path.join(args.out, "frames_sweep.csv"),
+                 ("frames,model,mAP\n" + "".join(f"{n},{arch},{mean_ap!r}\n" for n, arch, mean_ap in rows)).encode())
     return 0
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .mmf import read_mmf
+from .mmf import read_mmf, write_atomic
 from .vocab import GENRES, label_vector
 
 DURATION_LO = 19.6
@@ -73,15 +73,21 @@ def load_manifest(path: str) -> list[VideoRecord]:
         missing = [k for k in ("id", "genres") if not isinstance(entry, dict) or k not in entry]
         if missing:
             raise DataError(f"{path}: sample {i} has no {' and no '.join(missing)}")
-        duration = entry.get("duration_s")
+        rid, genres = entry["id"], entry["genres"]
+        rec_path, duration = entry.get("path"), entry.get("duration_s")
+        if not isinstance(rid, str):
+            raise DataError(f"{path}: sample {i} has an id that is not a string: {rid!r}")
+        if not isinstance(genres, list):
+            raise DataError(f"{path}: record {rid} has genres that are not a list: {genres!r}")
+        if rec_path is not None and not isinstance(rec_path, str):
+            raise DataError(f"{path}: record {rid} has a path that is not a string or null: {rec_path!r}")
         if duration is not None and (type(duration) not in (int, float) or duration != duration):
-            raise DataError(f"{path}: record {entry['id']} has a duration_s that is not a number: {duration!r}")
-        known = tuple(g for g in entry["genres"] if g in GENRES)
+            raise DataError(f"{path}: record {rid} has a duration_s that is not a number: {duration!r}")
+        known = tuple(g for g in genres if g in GENRES)
         if not known:
-            raise DataError(f"{path}: record {entry['id']} has no known genres")
-        rec_path = entry.get("path")
+            raise DataError(f"{path}: record {rid} has no known genres")
         records.append(VideoRecord(
-            id=entry["id"],
+            id=rid,
             duration_s=duration,
             genres=known,
             path=os.path.join(base, rec_path) if rec_path else None,
@@ -102,8 +108,7 @@ def write_manifest(records: list[VideoRecord], path: str):
             for r in records
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    write_atomic(path, json.dumps(doc, indent=1).encode())
 
 
 def filter_by_duration(records, lo: float = DURATION_LO, hi: float = DURATION_HI):

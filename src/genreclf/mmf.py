@@ -176,8 +176,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
             errors.append(str(exc))
     manifest = {"genres": list(GENRES), "samples": samples}
     if samples:
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1)
+        write_atomic(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1).encode())
     return {
         "imported": len(samples),
         "failed": len(errors),

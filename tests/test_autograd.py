@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import genreclf.autograd as ag
 from genreclf.autograd import Tensor, backward, no_grad
@@ -101,6 +103,30 @@ class TestSoftmax:
         assert np.isclose(y[0].sum(), 1.0)
         assert np.array_equal(y[1], np.zeros(4))    # fully masked row: zeros, not NaN
 
+    @settings(max_examples=200, deadline=None)
+    @example((np.arange(12, dtype=np.float32).reshape(2, 1, 2, 3),
+              np.array([[True, True, True], [False, False, False]]).reshape(2, 1, 1, 3)))
+    @example((np.full((1, 2, 3, 4), -1e30), np.zeros((1, 1, 1, 4), bool)))
+    @example((np.full((1, 1, 2, 3), 88.0, np.float32), np.ones((1, 1, 1, 3), bool)))
+    @given(st.tuples(st.sampled_from((np.float32, np.float64)), st.integers(1, 3), st.integers(1, 2),
+                     st.integers(1, 4), st.integers(1, 7)).flatmap(
+        lambda s: st.tuples(hnp.arrays(s[0], s[1:], elements=st.floats(-1e4, 1e4, width=np.dtype(s[0]).itemsize * 8)),
+                            hnp.arrays(np.bool_, (s[1], 1, 1, s[4])))))
+    def test_key_mask_property(self, case):
+        # (B, 1, 1, T) key masks as attention passes them: any pattern,
+        # all-False rows included
+        x, mask = case
+        y = ag.softmax_rows(Tensor(x), mask).data
+        assert y.dtype == x.dtype and y.shape == x.shape
+        valid = np.broadcast_to(mask, x.shape)
+        assert np.all(y[~valid] == 0.0)
+        has_key = valid.any(axis=-1)
+        row_sums = y.sum(axis=-1)[has_key]
+        assert np.allclose(row_sums, 1.0, rtol=0, atol=10 * np.finfo(x.dtype).eps * x.shape[-1])
+        assert not np.isnan(y).any() and np.all(y[~has_key] == 0.0)
+        all_true = ag.softmax_rows(Tensor(x), np.ones_like(mask)).data
+        assert all_true.tobytes() == ag.softmax_rows(Tensor(x)).data.tobytes()
+
 
 class TestLayerNorm:
     def test_constant_vector_zeroed(self):
@@ -142,6 +168,19 @@ class TestBackward:
         y = ag.mul(x, 1.0)
         backward(ag.add(y, y))
         assert float(x.grad) == 2.0
+
+    def test_inputs_of_one_node_get_separate_gradients(self):
+        # add hands both inputs views of one upstream gradient; a is used
+        # again in a node recorded earlier, so its gradient grows after add's
+        a = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+        b = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+        d = ag.mul(a, 3.0)
+        c = ag.add(a, b)
+        k = np.arange(6.0).reshape(2, 3)
+        backward(ag.tsum(ag.add(ag.mul(c, k), d)))
+        assert np.array_equal(a.grad, k + 3.0)
+        assert np.array_equal(b.grad, k)
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)

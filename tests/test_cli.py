@@ -159,6 +159,16 @@ class TestTrain:
         assert rc == 3
         assert "record v0 has a duration_s that is not a number" in err and "Traceback" not in err
 
+    def test_non_string_id_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        doc = {"genres": list(GENRES), "samples": [{"id": 5, "duration_s": 50.0, "genres": ["Action"]}]}
+        (data / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "sample 0 has an id that is not a string" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(mean_data, tmp_path_factory):

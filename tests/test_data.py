@@ -369,8 +369,17 @@ class TestManifest:
          "record x has a duration_s that is not a number"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": float("nan"), "genres": ["Action"]}]},
          "record x has a duration_s that is not a number: nan"),
+        ({"genres": list(GENRES), "samples": [{"id": 5, "genres": ["Action"]}]},
+         "sample 0 has an id that is not a string: 5"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "genres": 5}]},
+         "record x has genres that are not a list: 5"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "genres": "Action"}]},
+         "record x has genres that are not a list: 'Action'"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "genres": ["Action"], "path": 7}]},
+         "record x has a path that is not a string or null: 7"),
     ], ids=["no-samples", "not-an-object", "no-genres", "no-id", "entry-not-an-object",
-            "duration-string", "duration-bool", "duration-list", "duration-nan"])
+            "duration-string", "duration-bool", "duration-list", "duration-nan",
+            "id-int", "genres-int", "genres-string", "path-int"])
     def test_missing_keys_are_data_errors(self, tmp_path, doc, match):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))

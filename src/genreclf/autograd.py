@@ -5,7 +5,8 @@ a global tape. ``backward(loss)`` walks the tape in exact reverse recording
 order, accumulating gradients additively into each input's ``.grad`` array,
 then clears the tape. One backward pass per recorded graph; run forward
 again to differentiate again. Wrap pure inference in ``no_grad()`` so
-nothing is recorded.
+nothing is recorded. ``attention`` is one node: scores, mask, softmax and
+context share one buffer, and only the probabilities are kept for backward.
 
 Dtype contract: float32 is the training dtype and matrix products go
 through BLAS; a constant given to ``add`` or ``mul`` (scalar or array)
@@ -364,6 +365,19 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 # -- normalization / attention pieces -------------------------------------
 
 
+def _softmax_(p: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
+    """``softmax_rows`` of the array ``p``, computed in place in ``p``."""
+    if mask is not None:
+        np.copyto(p, -np.inf, where=np.logical_not(mask))
+    m = p.max(axis=-1, keepdims=True)
+    # a row with no valid entry has max -inf; 0 keeps p - m at -inf there
+    p -= np.where(np.isfinite(m), m, 0.0)
+    np.exp(p, out=p)
+    denom = p.sum(axis=-1, keepdims=True)
+    p /= np.where(denom > 0, denom, 1.0)
+    return p
+
+
 def softmax_rows(x: Tensor, mask: np.ndarray = None) -> Tensor:
     """Row-stable softmax over the last axis, with optional validity mask.
 
@@ -373,17 +387,35 @@ def softmax_rows(x: Tensor, mask: np.ndarray = None) -> Tensor:
     no valid entries comes out all zeros instead of producing NaNs, which
     keeps gradients clean for fully-padded queries.
     """
-    d = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    m = d.max(axis=-1, keepdims=True)
-    # a row with no valid entry has max -inf; 0 keeps d - m at -inf there
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(d - m)
-    denom = e.sum(axis=-1, keepdims=True)
-    out = Tensor(e / np.where(denom > 0, denom, 1.0))
+    out = Tensor(_softmax_(x.data.copy(), mask))
     if _wants_grad(x):
         def bwd(g, x=x, y=out.data):
             dot = (g * y).sum(axis=-1, keepdims=True)
             x._accumulate(y * (g - dot))
+        _record(out, bwd)
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray = None) -> Tensor:
+    """softmax_rows(q k^T / sqrt(dh), mask) v for (..., T, dh) inputs, as one
+    tape node. The scores become probabilities in one buffer, the only array
+    kept for backward; both passes do the arithmetic of the matmul -> mul ->
+    softmax_rows -> matmul chain in its order, so they match it bit for bit."""
+    p = _mm(q.data, np.swapaxes(k.data, -1, -2))
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=p.dtype)
+    p *= scale
+    out = Tensor(_mm(_softmax_(p, mask), v.data))
+    if _wants_grad(q, k, v):
+        def bwd(g, q=q, k=k, v=v, p=p):
+            if v.requires_grad:
+                v._accumulate(_mm(np.swapaxes(p, -1, -2), g))
+            dp = _mm(g, np.swapaxes(v.data, -1, -2))
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            if q.requires_grad:
+                q._accumulate(_mm(ds, k.data))
+            if k.requires_grad:
+                k._accumulate(np.swapaxes(_mm(np.swapaxes(q.data, -1, -2), ds), -1, -2))
         _record(out, bwd)
     return out
 

@@ -9,6 +9,7 @@ Each file is replaced atomically, the blob first. Every save of one model
 writes the same JSON, so a save that fails part way leaves a loadable pair.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -24,19 +25,21 @@ from .vocab import GENRES
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-def write_blob(bin_path: str, arrays: dict[str, np.ndarray]) -> list[dict]:
-    """Write ``arrays`` as one little-endian float32 blob and return the
-    manifest that ``read_blob`` takes to read them back."""
+def write_blob(bin_path: str, arrays: dict[str, np.ndarray]) -> tuple[list[dict], str]:
+    """Write ``arrays`` as one little-endian float32 blob; return the manifest
+    that ``read_blob`` takes to read them back and the blob's SHA-256."""
     raws = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays.values()]
-    write_atomic(bin_path, b"".join(raws))
+    blob = b"".join(raws)
+    write_atomic(bin_path, blob)
     offsets = itertools.accumulate((len(raw) for raw in raws), initial=0)
     return [{"name": name, "shape": list(arr.shape), "offset": offset}
-            for (name, arr), offset in zip(arrays.items(), offsets)]
+            for (name, arr), offset in zip(arrays.items(), offsets)], hashlib.sha256(blob).hexdigest()
 
 
-def save_checkpoint(model, stem: str):
+def save_checkpoint(model, stem: str) -> str:
+    """Write ``<stem>.bin``, then ``<stem>.json``; return the blob's SHA-256."""
     os.makedirs(os.path.dirname(os.path.abspath(stem)), exist_ok=True)
-    manifest = write_blob(stem + ".bin", {name: t.data for name, t in model.params.items()})
+    manifest, digest = write_blob(stem + ".bin", {name: t.data for name, t in model.params.items()})
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -44,13 +47,16 @@ def save_checkpoint(model, stem: str):
         "parameters": manifest,
     }
     write_atomic(stem + ".json", json.dumps(doc, indent=1).encode())
+    return digest
 
 
-def read_blob(bin_path: str, manifest: list[dict]) -> dict[str, np.ndarray]:
+def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[str, np.ndarray]:
     if not isinstance(manifest, list):
         raise DataError(f"{bin_path}: the parameter manifest is not a list")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
+    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        raise DataError(f"{bin_path}: the SHA-256 differs from the one recorded at save; a save stopped part way")
     arrays = {}
     for entry in manifest:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
@@ -67,9 +73,9 @@ def read_blob(bin_path: str, manifest: list[dict]) -> dict[str, np.ndarray]:
     return arrays
 
 
-def read_checkpoint(stem: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+def read_checkpoint(stem: str, sha256: str = None) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """The model config in ``<stem>.json`` and the parameter arrays it
-    describes in ``<stem>.bin``."""
+    describes in ``<stem>.bin``, whose SHA-256 must be ``sha256`` if given."""
     with open(stem + ".json") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -82,7 +88,7 @@ def read_checkpoint(stem: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         config = ModelConfig.from_dict(doc.get("config"))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{stem}.json: malformed model config: {exc!r}")
-    return config, read_blob(stem + ".bin", doc.get("parameters"))
+    return config, read_blob(stem + ".bin", doc.get("parameters"), sha256)
 
 
 def load_checkpoint(stem: str):

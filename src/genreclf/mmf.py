@@ -131,8 +131,9 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     The source manifest is JSON: ``{"samples": [{"id", "duration_s",
     "genres", "features": {modality: relative .npy path}}]}``. NPY arrays
     must be v1.0/2.0, C-order, float32/float64, shape (T, D) with D
-    matching the modality; float64 is narrowed to float32. Per-file
-    failures are collected and the rest of the import continues.
+    matching the modality; float64 is narrowed to float32. An ``id`` must be
+    a file name (it names the output ``.mmf``). Per-entry failures are
+    collected and the rest of the import continues.
 
     Returns a summary dict with the output manifest samples, the number
     imported, and the per-file error messages.
@@ -141,23 +142,30 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
 
     with open(manifest_path) as fh:
         src = json.load(fh)
+    if not (isinstance(src, dict) and isinstance(src.get("samples", []), list)):
+        raise DataError(f"{manifest_path}: the source manifest is not an object with a list of samples")
     spec_by_name = {s.name: s for s in specs}
     os.makedirs(out_dir, exist_ok=True)
     samples = []
     errors = []
     dropped_genres = 0
-    for entry in src.get("samples", []):
-        vid = entry["id"]
+    for i, entry in enumerate(src.get("samples", [])):
+        raw_id = entry.get("id") if isinstance(entry, dict) else None
+        vid = raw_id if isinstance(raw_id, str) and raw_id else f"sample {i}"
         try:
+            if not (isinstance(entry, dict) and isinstance(entry.get("genres", []), list)
+                    and isinstance(entry.get("features", {}), dict)):
+                raise DataError(f"{vid}: not an object whose genres is a list and features an object")
+            if vid != raw_id or vid in (".", "..") or any(c in vid for c in ("/", os.sep, "\0")):
+                raise DataError(f"{vid}: id {raw_id!r} is not a file name")
             features = {}
             for mod, rel in entry.get("features", {}).items():
                 if mod not in spec_by_name:
                     raise DataError(f"{vid}/{mod}: unknown modality")
-                path = os.path.join(npy_dir, rel)
                 try:
-                    arr = np.load(path, allow_pickle=False)
-                except Exception as exc:
-                    raise DataError(f"{vid}/{mod}: cannot read {path}: {exc}")
+                    arr = np.load(os.path.join(npy_dir, rel), allow_pickle=False)
+                except Exception as exc:   # a path that is not a string fails in the join
+                    raise DataError(f"{vid}/{mod}: cannot read {rel!r} under {npy_dir}: {exc}")
                 _check_npy_array(arr, spec_by_name[mod].input_dim, f"{vid}/{mod} ({rel})")
                 features[mod] = np.ascontiguousarray(arr, dtype=np.float32)
             known = [g for g in entry.get("genres", []) if g in GENRES]

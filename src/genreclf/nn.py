@@ -127,11 +127,8 @@ class MultiHeadSelfAttention:
         q = split(self.q(x))
         k = split(self.k(x))
         v = split(self.v(x))
-        scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2)))          # (B, H, T, T)
-        scores = ag.mul(scores, 1.0 / np.sqrt(self.head_dim))
         key_mask = None if mask is None else mask[:, None, None, :]   # broadcast over heads/queries
-        attn = ag.softmax_rows(scores, key_mask)
-        ctx = ag.matmul(attn, v)                                      # (B, H, T, dh)
+        ctx = ag.attention(q, k, v, key_mask)                         # (B, H, T, dh)
         ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         return self.out(ctx)
 

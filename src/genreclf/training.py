@@ -21,7 +21,7 @@ from .optim import Adam, clip_global_norm
 from .rng import SeededRng, derive_seed
 from .vocab import NUM_GENRES, label_vector
 
-TRAINER_STATE_VERSION = 1
+TRAINER_STATE_VERSION = 2
 
 
 def weighted_bce(logits: Tensor, targets: np.ndarray, positive_weight: float = 1.0) -> Tensor:
@@ -196,8 +196,8 @@ class Trainer:
     # -- resume -----------------------------------------------------------
     def save_state(self, out_dir: str):
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(self.model, os.path.join(out_dir, "last"))
-        manifest = write_blob(os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
+        last_digest = save_checkpoint(self.model, os.path.join(out_dir, "last"))
+        manifest, state_digest = write_blob(os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
         state = {
             "version": TRAINER_STATE_VERSION,
             "global_step": self.global_step,
@@ -210,6 +210,7 @@ class Trainer:
             # -inf (no validation yet) is stored as null: standard JSON has no infinities
             "best_map": self.history.best_map if np.isfinite(self.history.best_map) else None,
             "losses": self.history.losses,
+            "sha256": {"last.bin": last_digest, "trainer_state.bin": state_digest},
         }
         write_atomic(os.path.join(out_dir, "trainer_state.json"), json.dumps(state, allow_nan=False).encode())
 
@@ -221,13 +222,13 @@ class Trainer:
             state = json.load(fh)
         if state.get("version") != TRAINER_STATE_VERSION:
             raise DataError(f"unsupported trainer state version {state.get('version')}")
-        saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"))
+        saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"), state["sha256"]["last.bin"])
         if saved_model != config.model:
             raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
         t = cls(config, train_records, val_records)
         t.model.params.load_arrays(arrays)
-        t.adam.load_state_arrays(read_blob(os.path.join(state_dir, "trainer_state.bin"),
-                                           state["adam_manifest"]), state["adam_t"])
+        t.adam.load_state_arrays(read_blob(os.path.join(state_dir, "trainer_state.bin"), state["adam_manifest"],
+                                           state["sha256"]["trainer_state.bin"]), state["adam_t"])
         t.dropout_rng = SeededRng.from_state(state["dropout_rng"])
         t.global_step = state["global_step"]
         t.epoch = state["epoch"]

@@ -128,6 +128,48 @@ class TestSoftmax:
         assert all_true.tobytes() == ag.softmax_rows(Tensor(x)).data.tobytes()
 
 
+def _chain_attention(q, k, v, mask):
+    """The matmul -> mul -> softmax_rows -> matmul chain ``attention`` replaces."""
+    scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    return ag.matmul(ag.softmax_rows(scores, mask), v)
+
+
+class TestAttention:
+    @settings(max_examples=100, deadline=None)
+    @example((np.float32, 2, 1, 3, 2, np.array([True, True, False, False, False, False]), 0))
+    @example((np.float64, 1, 2, 4, 3, np.zeros(4, bool), 1))
+    @given(st.tuples(st.sampled_from((np.float32, np.float64)), st.integers(1, 3), st.integers(1, 3),
+                     st.integers(1, 6), st.integers(1, 4)).flatmap(
+        lambda s: st.tuples(*map(st.just, s), hnp.arrays(np.bool_, s[1] * s[3]), st.integers(0, 2 ** 32 - 1))))
+    def test_matches_chain_bit_for_bit(self, case):
+        # q, k and v are strided (B, H, T, dh) views of (B, T, H, dh) arrays,
+        # as MultiHeadSelfAttention builds them; some samples may have no key
+        dtype, b, h, t, dh, mask, seed = case
+        mask = mask.reshape(b, 1, 1, t)
+        rng = SeededRng(seed)
+        arrays = [rng.normal((b, t, h, dh), 0.0, 3.0).astype(dtype).transpose(0, 2, 1, 3) for _ in range(3)]
+        w = rng.normal((b, h, t, dh)).astype(dtype)
+        results = []
+        for op in (ag.attention, _chain_attention):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out = op(q, k, v, mask)
+            backward(ag.tsum(ag.mul(out, w)))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for fused, chain in zip(*results):
+            assert fused.dtype == chain.dtype == dtype and fused.shape == chain.shape
+            assert fused.tobytes() == chain.tobytes()
+
+    def test_one_tape_node(self):
+        q, k, v = (Tensor(SeededRng(i).normal((2, 2, 3, 4)), requires_grad=True) for i in range(3))
+        before = ag.tape_size()
+        ag.attention(q, k, v, np.array([True, True, False]).reshape(1, 1, 1, 3))
+        assert ag.tape_size() == before + 1
+        ag.clear_tape()
+        with no_grad():
+            ag.attention(q, k, v)
+        assert ag.tape_size() == 0
+
+
 class TestLayerNorm:
     def test_constant_vector_zeroed(self):
         out = ag.layer_norm(Tensor([[5.0, 5.0, 5.0]], dtype=np.float64),
@@ -250,6 +292,10 @@ OPS = {
         lambda a: ag.tsum(ag.mul(ag.softmax_rows(a, np.array([[True, True, False]])),
                                  np.arange(3.0))),
         lambda rng: [_rand(rng, (1, 3))]),
+    "attention": (lambda q, k, v: ag.tsum(ag.mul(ag.attention(q, k, v, np.array([[[[True, True, False]]],
+                                                                               [[[False, False, False]]]])),
+                                                  np.arange(48.0).reshape(2, 2, 3, 4) / 10.0)),
+                  lambda rng: [_rand(rng, (2, 2, 3, 4)) for _ in range(3)]),
     "layer_norm": (lambda x, g, b: ag.tsum(ag.mul(ag.layer_norm(x, g, b), np.arange(8.0).reshape(2, 4))),
                    lambda rng: [_rand(rng, (2, 4)), _rand(rng, (4,)), _rand(rng, (4,))]),
     "sum_axis": (lambda a: ag.tsum(ag.mul(ag.tsum(a, axis=1), ag.tsum(a, axis=1))),

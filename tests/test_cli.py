@@ -96,6 +96,53 @@ class TestImport:
         assert rc == 3
 
 
+    GOOD = {"id": "good", "duration_s": 100.0, "genres": ["Action"], "features": {"clip": "v.clip.npy"}}
+
+    @pytest.mark.parametrize("entry, label", [
+        ({"genres": ["Action"], "features": {"clip": "v.clip.npy"}}, "sample 0"),
+        (5, "sample 0"),
+        (["v"], "sample 0"),
+        ({**GOOD, "genres": 5}, "good"),
+        ({**GOOD, "features": ["v.clip.npy"]}, "good"),
+        ({**GOOD, "features": {"clip": 5}}, "good/clip"),
+        ({**GOOD, "id": 5}, "sample 0"),
+        ({**GOOD, "id": ""}, "sample 0"),
+        ({**GOOD, "id": "."}, "."),
+        ({**GOOD, "id": ".."}, ".."),
+        ({**GOOD, "id": "../escaped"}, "../escaped"),
+        ({**GOOD, "id": "sub/dir"}, "sub/dir"),
+        ({**GOOD, "id": "nul\0byte"}, "nul\0byte"),
+    ], ids=["no-id", "entry-int", "entry-list", "genres-int", "features-list", "feature-path-int", "id-int",
+            "id-empty", "id-dot", "id-dotdot", "id-escapes-out", "id-with-slash", "id-with-nul"])
+    def test_malformed_entry_is_collected_data_error(self, tmp_path, capsys, entry, label):
+        src = tmp_path / "src"
+        src.mkdir()
+        np.save(src / "v.clip.npy", np.ones((5, 512), dtype=np.float32))
+        manifest = src / "src.json"
+        outs = []
+        for samples, rc, summary in (([entry], 3, "imported 0 videos, 1 failed"),
+                                     ([entry, self.GOOD], 0, "imported 1 videos, 1 failed")):
+            manifest.write_text(json.dumps({"samples": samples}))
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert main(["import", "--npy-dir", str(src), "--manifest", str(manifest), "--out", str(outs[-1])]) == rc
+            captured = capsys.readouterr()
+            assert summary in captured.out
+            assert f"warning: {label}: " in captured.err and "Traceback" not in captured.err
+        outside = {p for p in tmp_path.rglob("*") if not any(out in p.parents for out in outs)}
+        assert outside == {src, src / "v.clip.npy", manifest, *outs}
+
+    @pytest.mark.parametrize("doc", [[], {"samples": {}}, {"samples": 5}, "samples"],
+                             ids=["top-level-list", "samples-object", "samples-int", "top-level-string"])
+    def test_malformed_source_manifest_is_data_error(self, tmp_path, capsys, doc):
+        manifest = tmp_path / "src.json"
+        manifest.write_text(json.dumps(doc))
+        rc = main(["import", "--npy-dir", str(tmp_path), "--manifest", str(manifest),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "not an object with a list of samples" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_train_writes_history_and_checkpoints(self, mean_data, tmp_path):
         cfg = small_train_config(tmp_path)

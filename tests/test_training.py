@@ -256,6 +256,44 @@ class TestTrainer:
                        records, (), part_dir)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("failing", ["last.json", "trainer_state.bin", "trainer_state.json"])
+    def test_torn_snapshot_is_refused(self, tmp_path, monkeypatch, failing):
+        # a resumed run reaches step 4 and its save stops at ``failing``: last.bin
+        # then holds step-4 parameters while trainer_state.json still describes step 2
+        records = mean_records(24, seed=61)
+        part_dir = str(tmp_path / "part")
+        train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=2, seed=63,
+                          checkpoint_dir=part_dir), records)
+        resumed = Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=4,
+                                             seed=63, checkpoint_dir=part_dir), records, (), part_dir)
+        write_atomic = training.write_atomic
+
+        def stop_at(path, data):
+            if os.path.basename(path) == failing:
+                raise OSError(f"injected failure writing {path}")
+            write_atomic(path, data)
+
+        monkeypatch.setattr(checkpoint, "write_atomic", stop_at)
+        monkeypatch.setattr(training, "write_atomic", stop_at)
+        with pytest.raises(OSError, match="injected"):
+            resumed.run()
+        assert resumed.global_step == 4
+        with pytest.raises(DataError, match="last.bin: the SHA-256 differs"):
+            Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=63),
+                           records, (), part_dir)
+
+    def test_adam_state_of_another_step_is_refused(self, tmp_path):
+        # same parameter names and shapes, so the manifest offsets still fit
+        records = mean_records(24, seed=65)
+        dirs = [str(tmp_path / f"steps{n}") for n in (2, 3)]
+        for n, out in zip((2, 3), dirs):
+            train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=n, seed=67,
+                              checkpoint_dir=out), records)
+        os.replace(os.path.join(dirs[1], "trainer_state.bin"), os.path.join(dirs[0], "trainer_state.bin"))
+        with pytest.raises(DataError, match="trainer_state.bin: the SHA-256 differs"):
+            Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=67),
+                           records, (), dirs[0])
+
     def test_best_checkpoint_tracks_validation_map(self, tmp_path):
         records = mean_records(32, seed=31)
         cfg = TrainConfig(model=small_config(), lr=5e-3, batch_size=8, epochs=4, seed=33,

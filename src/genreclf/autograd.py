@@ -327,12 +327,25 @@ def transpose(x: Tensor, axes) -> Tensor:
     return out
 
 
+def _is_basic_index(idx) -> bool:
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, (bool, np.bool_)))
+               for p in parts)
+
+
 def getitem(x: Tensor, idx) -> Tensor:
+    """``x[idx]`` for a basic index: ints, slices, ``None`` and ``...``.
+    Such an index selects each element at most once, so backward adds the
+    gradient into its slice of a zero buffer; an index array or list, which
+    may repeat an element, is refused."""
+    if not _is_basic_index(idx):
+        raise ValueError(f"getitem takes ints, slices, None and ..., got {idx!r}")
     out = Tensor(x.data[idx])
     if _wants_grad(x):
         def bwd(g, x=x, idx=idx):
             full = np.zeros_like(x.data)
-            np.add.at(full, idx, g)
+            full[idx] += g
             x._accumulate(full)
         _record(out, bwd)
     return out
@@ -443,16 +456,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None) -> Tensor:
+def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None, full_len: int = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` in train mode and
-    scale survivors by 1/(1-rate); identity in eval mode."""
+    scale survivors by 1/(1-rate); identity in eval mode.
+
+    ``full_len`` marks ``x`` as the leading rows (axis 1) of a tensor that is
+    ``full_len`` rows long: ``x`` then gets that tensor's mask sliced the same
+    way, and the stream advances as for the whole tensor."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs a SeededRng")
-    keep = rng.uniform(x.shape) >= rate
+    if full_len is None:
+        keep = rng.uniform(x.shape) >= rate
+    else:
+        keep = rng.uniform_leading((x.shape[0], full_len) + x.shape[2:], x.shape[1]) >= rate
     scale = 1.0 / (1.0 - rate)
     mask = keep.astype(x.dtype) * np.asarray(scale, dtype=x.dtype)
     out = Tensor(x.data * mask)

@@ -123,7 +123,10 @@ def cmd_train(args) -> int:
     cfg.checkpoint_dir = args.out
     splits, stats = _load_split_records(args.data)
     _write_run_manifest(args.out, "train", cfg.to_dict(), cfg.seed)
-    trainer = Trainer(cfg, splits["train"], splits["val"])
+    if args.resume:
+        trainer = Trainer.resume(cfg, splits["train"], splits["val"], args.resume)
+    else:
+        trainer = Trainer(cfg, splits["train"], splits["val"])
     print(f"architecture={cfg.model.architecture} parameters={trainer.model.parameter_count()}")
     print(f"records: train={len(splits['train'])} val={len(splits['val'])} test={len(splits['test'])} "
           f"(dropped: short={stats.dropped_short} long={stats.dropped_long} "
@@ -307,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--resume", metavar="DIR",
+                   help="continue the run whose last checkpoint and trainer_state are in DIR")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True, help="checkpoint stem (no extension)")

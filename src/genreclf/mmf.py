@@ -132,8 +132,9 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     "genres", "features": {modality: relative .npy path}}]}``. NPY arrays
     must be v1.0/2.0, C-order, float32/float64, shape (T, D) with D
     matching the modality; float64 is narrowed to float32. An ``id`` must be
-    a file name (it names the output ``.mmf``). Per-entry failures are
-    collected and the rest of the import continues.
+    a file name (it names the output ``.mmf``); an entry whose id an earlier
+    entry was imported under fails. Per-entry failures are collected and the
+    rest of the import continues.
 
     Returns a summary dict with the output manifest samples, the number
     imported, and the per-file error messages.
@@ -148,6 +149,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     samples = []
     errors = []
+    imported = set()
     dropped_genres = 0
     for i, entry in enumerate(src.get("samples", [])):
         raw_id = entry.get("id") if isinstance(entry, dict) else None
@@ -158,6 +160,8 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
                 raise DataError(f"{vid}: not an object whose genres is a list and features an object")
             if vid != raw_id or vid in (".", "..") or any(c in vid for c in ("/", os.sep, "\0")):
                 raise DataError(f"{vid}: id {raw_id!r} is not a file name")
+            if vid in imported:
+                raise DataError(f"{vid}: duplicate id; an earlier entry was imported under it")
             features = {}
             for mod, rel in entry.get("features", {}).items():
                 if mod not in spec_by_name:
@@ -174,6 +178,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
                 raise DataError(f"{vid}: no genres from the fixed vocabulary")
             out_path = os.path.join(out_dir, f"{vid}.mmf")
             write_mmf(features, out_path)
+            imported.add(vid)
             samples.append({
                 "id": vid,
                 "duration_s": entry.get("duration_s"),

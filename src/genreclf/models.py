@@ -10,6 +10,9 @@ feature sequences in, 21 genre logits out.
   flagged for temporal averaging skip their encoder and contribute their
   averaged, projected vector directly.
 
+The heads read only the CLS row of the last encoder layer, so that layer
+computes that row alone (``cls_only``), with keys and values from every token.
+
 Sequences longer than a modality's learned positional table are truncated
 to the table length on the transformer paths (the tables bound usable
 positions); the MLP path always consumes the full duration.
@@ -159,7 +162,8 @@ class SingleTransformerModel(_TransformerModel):
             self.params.add(f"sep.{spec.name}", init_embedding(rng, (cfg.model_dim,)))
         self.params.add("cls", init_embedding(rng, (cfg.model_dim,)))
         self.layers = [
-            TransformerEncoderLayer(self.params, f"enc.{i}", cfg.model_dim, cfg.num_heads, cfg.dropout_rate, rng)
+            TransformerEncoderLayer(self.params, f"enc.{i}", cfg.model_dim, cfg.num_heads, cfg.dropout_rate, rng,
+                                    cls_only=i == cfg.num_layers - 1)
             for i in range(cfg.num_layers)
         ]
         self.head = Linear(self.params, "head", cfg.model_dim, NUM_GENRES, rng)
@@ -200,7 +204,7 @@ class MultiTransformerModel(_TransformerModel):
                 self.params.add(f"cls.{spec.name}", init_embedding(rng, (cfg.model_dim,)))
                 self.encoders[spec.name] = [
                     TransformerEncoderLayer(self.params, f"enc.{spec.name}.{i}", cfg.model_dim,
-                                            cfg.num_heads, cfg.dropout_rate, rng)
+                                            cfg.num_heads, cfg.dropout_rate, rng, cls_only=i == cfg.num_layers - 1)
                     for i in range(cfg.num_layers)
                 ]
         self.head = Linear(self.params, "head", cfg.model_dim * len(cfg.modalities), NUM_GENRES, rng)

@@ -99,14 +99,19 @@ class MultiHeadSelfAttention:
 
     Pad keys are excluded from the softmax, so their attention weight is
     exactly zero and pad content can never influence valid positions.
+
+    With ``cls_only`` only row 0 queries, over the keys and values of every
+    token (class attention, CaiT), and the output is (B, 1, D).
     """
 
-    def __init__(self, store: ParameterStore, name: str, dim: int, heads: int, rng: SeededRng):
+    def __init__(self, store: ParameterStore, name: str, dim: int, heads: int, rng: SeededRng,
+                 cls_only: bool = False):
         if dim % heads != 0:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
+        self.cls_only = cls_only
         self.q = Linear(store, f"{name}.q", dim, dim, rng)
         # no key bias: a shared key offset shifts every score in a row by the
         # same amount and cancels in the softmax, so it could never train
@@ -121,27 +126,32 @@ class MultiHeadSelfAttention:
         if mask is not None and mask.shape != (b, t):
             raise ValueError(f"mask shape {mask.shape} != (batch, time) = {(b, t)}")
 
-        def split(z):  # (B, T, D) -> (B, H, T, dh)
-            return ag.transpose(ag.reshape(z, (b, t, self.heads, self.head_dim)), (0, 2, 1, 3))
+        def split(z):  # (B, n, D) -> (B, H, n, dh)
+            return ag.transpose(ag.reshape(z, (b, z.shape[1], self.heads, self.head_dim)), (0, 2, 1, 3))
 
-        q = split(self.q(x))
+        q = split(self.q(x[:, :1] if self.cls_only else x))
         k = split(self.k(x))
         v = split(self.v(x))
         key_mask = None if mask is None else mask[:, None, None, :]   # broadcast over heads/queries
-        ctx = ag.attention(q, k, v, key_mask)                         # (B, H, T, dh)
-        ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+        ctx = ag.attention(q, k, v, key_mask)                         # (B, H, queries, dh)
+        ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, q.shape[2], d))
         return self.out(ctx)
 
 
 class TransformerEncoderLayer:
     """Post-norm encoder layer: attention + residual + layer norm, then a
     D -> 4D -> D feed-forward with ReLU + residual + layer norm. Dropout is
-    applied to each sublayer output in train mode."""
+    applied to each sublayer output in train mode.
+
+    With ``cls_only`` the layer computes row 0 alone and returns (B, 1, D):
+    the last layer of a model whose head reads only the CLS row. Its dropout
+    masks are row 0 of the full layer's and consume the same stream."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, heads: int,
-                 dropout_rate: float, rng: SeededRng):
+                 dropout_rate: float, rng: SeededRng, cls_only: bool = False):
         self.dropout_rate = dropout_rate
-        self.attn = MultiHeadSelfAttention(store, f"{name}.attn", dim, heads, rng)
+        self.cls_only = cls_only
+        self.attn = MultiHeadSelfAttention(store, f"{name}.attn", dim, heads, rng, cls_only)
         self.ff1 = Linear(store, f"{name}.ff1", dim, 4 * dim, rng)
         self.ff2 = Linear(store, f"{name}.ff2", 4 * dim, dim, rng)
         self.ln1_g = store.add(f"{name}.ln1.g", np.ones(dim))
@@ -151,9 +161,12 @@ class TransformerEncoderLayer:
 
     def __call__(self, x: Tensor, mask: np.ndarray = None, train: bool = False,
                  rng: SeededRng = None) -> Tensor:
+        t = x.shape[1]
         a = self.attn(x, mask)
-        a = ag.dropout(a, self.dropout_rate, train, rng)
+        if self.cls_only:
+            x = x[:, :1]
+        a = ag.dropout(a, self.dropout_rate, train, rng, t)
         x = ag.layer_norm(ag.add(x, a), self.ln1_g, self.ln1_b)
         f = self.ff2(ag.relu(self.ff1(x)))
-        f = ag.dropout(f, self.dropout_rate, train, rng)
+        f = ag.dropout(f, self.dropout_rate, train, rng, t)
         return ag.layer_norm(ag.add(x, f), self.ln2_g, self.ln2_b)

@@ -78,13 +78,17 @@ class SeededRng:
     def from_state(cls, state: dict) -> "SeededRng":
         return cls(state["seed"], state["counter"])
 
+    def _outputs(self, ks: np.ndarray) -> np.ndarray:
+        """Raw outputs at uint64 counter offsets ``ks`` (1-based) past ``counter``."""
+        with np.errstate(over="ignore"):
+            z = np.uint64(self.seed) + (ks + np.uint64(self.counter)) * np.uint64(GOLDEN)
+        return _mix64(z)
+
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 outputs."""
-        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        out = self._outputs(np.arange(1, n + 1, dtype=np.uint64))
         self.counter += n
-        with np.errstate(over="ignore"):
-            z = np.uint64(self.seed) + ks * np.uint64(GOLDEN)
-        return _mix64(z)
+        return out
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Uniform float64 draws in [low, high) from the top 53 bits."""
@@ -92,6 +96,18 @@ class SeededRng:
         u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         out = low + (high - low) * u
         return out.reshape(shape) if shape else out[0]
+
+    def uniform_leading(self, shape, rows: int) -> np.ndarray:
+        """``uniform(shape)[:, :rows]`` for a ``shape`` of rank >= 2, computing
+        only those values: the outputs of the leading ``rows`` along axis 1 of
+        each sample. The counter advances past the whole ``shape``."""
+        b, t = shape[:2]
+        inner = int(np.prod(shape[2:]))
+        ks = (np.arange(b, dtype=np.uint64)[:, None] * np.uint64(t * inner)
+              + np.arange(1, rows * inner + 1, dtype=np.uint64))
+        u = (self._outputs(ks.ravel()) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        self.counter += b * t * inner
+        return u.reshape((b, rows) + tuple(shape[2:]))
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on consecutive uniform pairs."""

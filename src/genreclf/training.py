@@ -218,10 +218,14 @@ class Trainer:
     def resume(cls, config: TrainConfig, train_records, val_records, state_dir: str) -> "Trainer":
         """Continue the run saved in ``state_dir``. ``config.model`` must be
         the model config of the saved ``last`` checkpoint."""
-        with open(os.path.join(state_dir, "trainer_state.json")) as fh:
+        path = os.path.join(state_dir, "trainer_state.json")
+        with open(path) as fh:
             state = json.load(fh)
+        if not isinstance(state, dict):
+            raise DataError(f"{path}: the trainer state is not a JSON object")
         if state.get("version") != TRAINER_STATE_VERSION:
             raise DataError(f"unsupported trainer state version {state.get('version')}")
+        _check_state_fields(state, path)
         saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"), state["sha256"]["last.bin"])
         if saved_model != config.model:
             raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
@@ -237,6 +241,42 @@ class Trainer:
         t.history.best_map = float("-inf") if state["best_map"] is None else state["best_map"]
         t.history.losses = [tuple(x) for x in state["losses"]]
         return t
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+# trainer_state.json field -> (check, what it must be)
+_STATE_FIELDS = {
+    "global_step": (_is_count, "an integer >= 0"),
+    "epoch": (_is_count, "an integer >= 0"),
+    "step_in_epoch": (_is_count, "an integer >= 0"),
+    "adam_t": (_is_count, "an integer >= 0"),
+    "adam_manifest": (lambda v: isinstance(v, list), "a list"),
+    "dropout_rng": (lambda v: isinstance(v, dict) and all(_is_count(v.get(k)) for k in ("seed", "counter")),
+                    "{seed: integer >= 0, counter: integer >= 0}"),
+    "best_step": (lambda v: type(v) is int, "an integer"),
+    "best_map": (lambda v: v is None or _is_number(v), "a number or null"),
+    "losses": (lambda v: isinstance(v, list) and all(
+        isinstance(x, list) and len(x) == 2 and _is_count(x[0]) and _is_number(x[1]) for x in v),
+        "a list of [step, loss] pairs"),
+    "sha256": (lambda v: isinstance(v, dict) and all(isinstance(v.get(k), str)
+                                                     for k in ("last.bin", "trainer_state.bin")),
+               "{last.bin: string, trainer_state.bin: string}"),
+}
+
+
+def _check_state_fields(state: dict, path: str):
+    for name, (ok, what) in _STATE_FIELDS.items():
+        if name not in state:
+            raise DataError(f"{path}: field {name!r} is missing")
+        if not ok(state[name]):
+            raise DataError(f"{path}: field {name!r} must be {what}, got {state[name]!r:.80}")
 
 
 def train(config: TrainConfig, train_records, val_records=()):

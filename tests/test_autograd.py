@@ -347,12 +347,39 @@ class TestDropout:
         with pytest.raises(ValueError):
             ag.dropout(Tensor(np.ones(3)), 1.0, train=True, rng=SeededRng(0))
 
+    def test_leading_rows_get_the_full_mask_rows(self):
+        x = SeededRng(13).normal((3, 5, 4))
+        full_rng, rows_rng = SeededRng(14, 7), SeededRng(14, 7)
+        want = ag.dropout(Tensor(x), 0.5, train=True, rng=full_rng).data[:, :2]
+        got = ag.dropout(Tensor(x[:, :2]), 0.5, train=True, rng=rows_rng, full_len=5).data
+        assert got.tobytes() == want.tobytes()
+        assert rows_rng.counter == full_rng.counter == 7 + x.size
+
     def test_survivor_statistics(self):
         x = Tensor(np.ones(100000, dtype=np.float32))
         out = ag.dropout(x, 0.5, train=True, rng=SeededRng(12))
         survivors = np.count_nonzero(out.data) / x.size
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
+
+
+class TestGetitem:
+    @pytest.mark.parametrize("idx", [1, -1, slice(1, 3), (slice(None), slice(0, 1)), (slice(None), 0),
+                                     (Ellipsis, 2), (0, slice(None, None, -2), None), np.int64(2)])
+    def test_gradient_equals_add_at(self, idx):
+        x = Tensor(SeededRng(15).normal((4, 5, 3)), requires_grad=True)
+        out = ag.getitem(x, idx)
+        g = SeededRng(16).normal(out.shape).astype(np.float32)
+        backward(ag.tsum(ag.mul(out, g)))
+        want = np.zeros_like(x.data)
+        np.add.at(want, idx, g)
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("idx", [[0, 0], np.array([1, 1]), (slice(None), [0, 2]), np.ones(4, dtype=bool), True])
+    def test_index_array_rejected(self, idx):
+        x = Tensor(np.ones((4, 5)), requires_grad=True)
+        with pytest.raises(ValueError, match="getitem takes ints, slices"):
+            ag.getitem(x, idx)
 
 
 def test_finite_outputs_on_finite_inputs():

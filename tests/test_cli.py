@@ -7,6 +7,7 @@ import pytest
 
 from genreclf.cli import main
 from genreclf.metrics import report_from_csv
+from genreclf.mmf import read_mmf
 from genreclf.vocab import GENRES
 
 DROP = object()   # marks a key or list item to delete from a JSON document
@@ -131,6 +132,23 @@ class TestImport:
         outside = {p for p in tmp_path.rglob("*") if not any(out in p.parents for out in outs)}
         assert outside == {src, src / "v.clip.npy", manifest, *outs}
 
+    def test_duplicate_id_imports_first_entry_once(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        np.save(src / "first.npy", np.ones((5, 512), dtype=np.float32))
+        np.save(src / "second.npy", np.full((7, 512), 2.0, dtype=np.float32))
+        samples = [{**self.GOOD, "id": "a", "features": {"clip": name}} for name in ("first.npy", "second.npy")]
+        manifest = tmp_path / "src.json"
+        manifest.write_text(json.dumps({"samples": samples}))
+        out = tmp_path / "out"
+        assert main(["import", "--npy-dir", str(src), "--manifest", str(manifest), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "imported 1 videos, 1 failed" in captured.out
+        assert "warning: a: duplicate id" in captured.err and "Traceback" not in captured.err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert [s["id"] for s in doc["samples"]] == ["a"]
+        assert np.array_equal(read_mmf(str(out / "a.mmf"))["clip"], np.ones((5, 512), dtype=np.float32))
+
     @pytest.mark.parametrize("doc", [[], {"samples": {}}, {"samples": 5}, "samples"],
                              ids=["top-level-list", "samples-object", "samples-int", "top-level-string"])
     def test_malformed_source_manifest_is_data_error(self, tmp_path, capsys, doc):
@@ -215,6 +233,42 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 3
         assert "sample 0 has an id that is not a string" in err and "Traceback" not in err
+
+
+class TestResume:
+    def _saved(self, mean_data, tmp_path, steps):
+        cfg = small_train_config(tmp_path, max_steps=steps)
+        out = str(tmp_path / f"steps{steps}")
+        assert main(["train", "--config", cfg, "--data", mean_data, "--out", out]) == 0
+        return out
+
+    def test_resume_reproduces_uninterrupted_history(self, mean_data, tmp_path):
+        full = self._saved(mean_data, tmp_path, 3)
+        part = self._saved(mean_data, tmp_path, 1)
+        out = str(tmp_path / "resumed")
+        cfg = small_train_config(tmp_path, max_steps=3)
+        assert main(["train", "--config", cfg, "--data", mean_data, "--out", out, "--resume", part]) == 0
+        for name in ("last.bin", "trainer_state.bin"):
+            assert open(os.path.join(out, name), "rb").read() == open(os.path.join(full, name), "rb").read()
+
+    @pytest.mark.parametrize("key, value", [("sha256", DROP), ("losses", "1.0"), ("dropout_rng", {"seed": 1})],
+                             ids=["sha256-missing", "losses-string", "rng-without-counter"])
+    def test_malformed_state_is_data_error(self, mean_data, tmp_path, capsys, key, value):
+        part = self._saved(mean_data, tmp_path, 1)
+        path = os.path.join(part, "trainer_state.json")
+        state = json.load(open(path))
+        if value is DROP:
+            del state[key]
+        else:
+            state[key] = value
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        capsys.readouterr()
+        rc = main(["train", "--config", small_train_config(tmp_path), "--data", mean_data,
+                   "--out", str(tmp_path / "resumed"), "--resume", part])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"field {key!r}" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import genreclf.autograd as ag
 import genreclf.mmf as mmf
 from genreclf.autograd import no_grad
 from genreclf.checkpoint import load_checkpoint, save_checkpoint
@@ -9,6 +10,7 @@ from genreclf.errors import ConfigError, DataError
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec
 from genreclf.models import ModelConfig, build_model, predict, predict_scores
 from genreclf.rng import SeededRng
+from genreclf.training import weighted_bce
 from genreclf.vocab import GENRES
 
 TOY_SPECS = (
@@ -218,6 +220,110 @@ class TestBatchEquivalence:
         for i, rec in enumerate(records):
             single = predict_scores(model, make_batch([rec], TOY_SPECS, lengths="full"))
             assert np.max(np.abs(batched[i] - single[0])) < 1e-5
+
+
+class FullLayer:
+    """Reference for a class-attention layer: the same parameters computed
+    over every row (T queries, T-row residual, layer norms and feed-forward,
+    dropout drawn over (B, T, D)), then row 0 kept."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def __call__(self, x, mask, train=False, rng=None):
+        layer, attn = self.layer, self.layer.attn
+        b, t, d = x.shape
+
+        def split(z):
+            return ag.transpose(ag.reshape(z, (b, t, attn.heads, attn.head_dim)), (0, 2, 1, 3))
+
+        ctx = ag.attention(split(attn.q(x)), split(attn.k(x)), split(attn.v(x)), mask[:, None, None, :])
+        a = attn.out(ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, t, d)))
+        x = ag.layer_norm(ag.add(x, ag.dropout(a, layer.dropout_rate, train, rng)), layer.ln1_g, layer.ln1_b)
+        f = ag.dropout(layer.ff2(ag.relu(layer.ff1(x))), layer.dropout_rate, train, rng)
+        return ag.layer_norm(ag.add(x, f), layer.ln2_g, layer.ln2_b)[:, :1]
+
+
+def last_layers(model):
+    """(layer list, index) of every model's last encoder layer."""
+    stacks = [model.layers] if hasattr(model, "layers") else list(model.encoders.values())
+    return [(stack, len(stack) - 1) for stack in stacks]
+
+
+def class_attention_records():
+    """Four records; the second has no asr frames, so its asr stream mask
+    is all False."""
+    records = toy_records(4, seed=71)
+    records[1].features["asr"] = np.zeros((0, 6), dtype=np.float32)
+    return records
+
+
+def train_step(model, batch):
+    """Train-mode loss bytes, every parameter gradient's bytes and the final
+    dropout counter of one step."""
+    rng = SeededRng(73)
+    model.params.zero_grad()
+    loss = weighted_bce(model.forward(batch, train=True, rng=rng), batch.labels, 0.25)
+    ag.backward(loss)
+    return loss.data.tobytes(), {n: t.grad.tobytes() for n, t in model.params.items()}, rng.counter
+
+
+class TestClassAttention:
+    @pytest.mark.parametrize("averaged", ((), ("ocr",)))
+    @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
+    def test_float64_bit_identical_to_full_layer(self, arch, averaged):
+        config = toy_config(arch, averaged=averaged, layers=2, dropout=0.3)
+        batch = make_batch(class_attention_records(), config.modalities)
+        assert not batch.masks["asr"][1].any()
+        model = build_model(config, seed=72, dtype=np.float64)
+        got = train_step(model, batch)
+        for stack, i in last_layers(model):
+            assert stack[i].cls_only and not any(layer.cls_only for layer in stack[:i])
+            stack[i] = FullLayer(stack[i])
+        want = train_step(model, batch)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2] > 0
+
+    @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
+    def test_last_layer_queries_one_row(self, arch, monkeypatch):
+        config = toy_config(arch, layers=2)
+        model = build_model(config, seed=74)
+        batch = make_batch(class_attention_records(), config.modalities)
+        queries = []
+        attention = ag.attention
+
+        def spy(q, k, v, mask=None):
+            queries.append((q.shape, k.shape))
+            return attention(q, k, v, mask)
+
+        monkeypatch.setattr(ag, "attention", spy)
+        predict_scores(model, batch)
+        b, h, dh = batch.size, config.num_heads, config.model_dim // config.num_heads
+        layers = 2 * (1 if arch == "single_transformer" else len(config.modalities))
+        assert len(queries) == layers
+        for first, last in zip(queries[::2], queries[1::2]):
+            t = first[1][2]
+            assert first == ((b, h, t, dh), (b, h, t, dh))
+            assert last == ((b, h, 1, dh), (b, h, t, dh))
+
+    # Largest |float32 - float64| logit, measured with OpenBLAS: 3.1e-7
+    # (single_transformer) and 4.8e-7 (multi_transformer) on this case, at
+    # most 4.8e-7 and 5.5e-7 over 40 model and data seeds; the float32
+    # full-layer path gave 4.8e-7 and 5.2e-7 there. The bound leaves a
+    # margin for other BLAS kernels.
+    FLOAT32_LOGIT_BOUND = 2e-6
+
+    @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
+    def test_float32_drift_from_float64(self, arch):
+        config = toy_config(arch, layers=2, dim=16)
+        batch = make_batch(toy_records(8, seed=75), config.modalities)
+        logits = {}
+        for dtype in (np.float32, np.float64):
+            with no_grad():
+                logits[dtype] = build_model(config, seed=76, dtype=dtype).forward(batch).data
+        drift = np.abs(logits[np.float32].astype(np.float64) - logits[np.float64]).max()
+        assert drift < self.FLOAT32_LOGIT_BOUND
 
 
 class TestMultiTransformer:

@@ -188,17 +188,18 @@ class TestEncoderLayer:
         assert np.allclose(got, want, atol=1e-10)
 
     def test_gradcheck_through_encoder(self):
-        store = make_store()
-        layer = TransformerEncoderLayer(store, "e", 8, 2, 0.0, SeededRng(4))
-        x = Tensor(SeededRng(5).normal((2, 4, 8)), dtype=np.float64)
-        mask = np.array([[True] * 4, [True, True, True, False]])
-        weights = np.arange(float(2 * 4 * 8)).reshape(2, 4, 8) / 64.0
+        for cls_only, rows in ((False, 4), (True, 1)):
+            store = make_store()
+            layer = TransformerEncoderLayer(store, "e", 8, 2, 0.0, SeededRng(4), cls_only=cls_only)
+            x = Tensor(SeededRng(5).normal((2, 4, 8)), dtype=np.float64)
+            mask = np.array([[True] * 4, [True, True, True, False]])
+            weights = np.arange(float(2 * 4 * 8)).reshape(2, 4, 8)[:, :rows] / 64.0
 
-        def f():
-            return ag.tsum(ag.mul(layer(x, mask, train=False), weights))
+            def f():
+                return ag.tsum(ag.mul(layer(x, mask, train=False), weights))
 
-        err = grad_check(f, store.tensors(), eps=1e-6)
-        assert err < 1e-4
+            err = grad_check(f, store.tensors(), eps=1e-6)
+            assert err < 1e-4, f"cls_only={cls_only}: rel err {err}"
 
 
 class TestAdam:

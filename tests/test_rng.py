@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from genreclf.rng import GOLDEN, SeededRng, derive_seed
 
@@ -67,6 +68,26 @@ def test_subsample_sorted():
     assert len(idx) == 10
     assert np.all(np.diff(idx) > 0)
     assert rng.subsample_sorted(5, 10).tolist() == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@example(seed=0, counter=0, b=3, t=1, d=4, rows=1)
+@example(seed=5, counter=2**40, b=2, t=6, d=3, rows=6)
+@given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**48),
+       b=st.integers(1, 5), t=st.integers(1, 9), d=st.integers(1, 6), rows=st.integers(1, 9))
+def test_uniform_leading_slices_full_draw(seed, counter, b, t, d, rows):
+    rows = min(rows, t)
+    full, leading = SeededRng(seed, counter), SeededRng(seed, counter)
+    want = full.uniform((b, t, d))[:, :rows]
+    got = leading.uniform_leading((b, t, d), rows)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert leading.counter == full.counter == counter + b * t * d
+
+
+def test_uniform_leading_of_rank_two_and_four():
+    for shape in ((4, 7), (2, 5, 3, 2)):
+        want = SeededRng(8, 3).uniform(shape)[:, :2]
+        assert SeededRng(8, 3).uniform_leading(shape, 2).tobytes() == want.tobytes()
 
 
 def test_state_round_trip_resumes_stream():

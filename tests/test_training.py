@@ -19,6 +19,9 @@ from genreclf.training import TrainConfig, Trainer, evaluate, train, weighted_bc
 from genreclf.vocab import label_vector
 
 SMALL_SPECS = (ModalitySpec("clip", 12, 8), ModalitySpec("audiotag", 6, 5))
+DROP = object()   # marks a key to delete from a JSON document
+STATE_FIELDS = ("global_step", "epoch", "step_in_epoch", "adam_t", "adam_manifest", "dropout_rng",
+                "best_step", "best_map", "losses", "sha256")
 
 
 def small_config(arch="mlp", **overrides):
@@ -293,6 +296,37 @@ class TestTrainer:
         with pytest.raises(DataError, match="trainer_state.bin: the SHA-256 differs"):
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=67),
                            records, (), dirs[0])
+
+    @pytest.mark.parametrize("keys, value", [
+        *[((key,), DROP) for key in STATE_FIELDS],
+        (("dropout_rng", "seed"), DROP), (("dropout_rng", "counter"), DROP),
+        (("sha256", "last.bin"), DROP), (("sha256", "trainer_state.bin"), DROP),
+        (("global_step",), "2"), (("epoch",), 1.0), (("step_in_epoch",), None), (("adam_t",), True),
+        (("global_step",), -1), (("adam_manifest",), {}), (("dropout_rng",), [1, 2]),
+        (("dropout_rng", "counter"), -5), (("dropout_rng", "seed"), 1.5), (("best_step",), 0.5),
+        (("best_map",), "0.5"), (("best_map",), False), (("losses",), {}), (("losses",), [[1]]),
+        (("losses",), [[1, "0.3"]]), (("sha256",), "abc"), (("sha256", "last.bin"), 5),
+    ], ids=lambda v: "missing" if v is DROP else ".".join(v) if isinstance(v, tuple) else repr(v))
+    def test_malformed_state_field_is_data_error(self, tmp_path, keys, value):
+        records = mean_records(16, seed=69)
+        part_dir = str(tmp_path / "part")
+        train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=1, seed=71,
+                          checkpoint_dir=part_dir), records)
+        path = os.path.join(part_dir, "trainer_state.json")
+        with open(path) as fh:
+            state = json.load(fh)
+        owner = state
+        for key in keys[:-1]:
+            owner = owner[key]
+        if value is DROP:
+            del owner[keys[-1]]
+        else:
+            owner[keys[-1]] = value
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        with pytest.raises(DataError, match=f"field '{keys[0]}'"):
+            Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=71),
+                           records, (), part_dir)
 
     def test_best_checkpoint_tracks_validation_map(self, tmp_path):
         records = mean_records(32, seed=31)

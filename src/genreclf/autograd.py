@@ -14,11 +14,17 @@ adopts the tensor's dtype, so no constant can promote a float32 graph.
 float64 is the verification dtype: a matrix product with a float64 operand
 uses an ordered inner-dimension accumulation (one multiply and one add per
 term, no FMA, fixed order), bit-identical to a naive triple loop and
-independent of the BLAS kernel in use. A gradient takes its tensor's dtype
-in one place, ``Tensor._accumulate``: the first contribution is stored as a
-C-order copy in that dtype, and each later one is rounded to it before it is
-added, so backward closures pass their results on uncast.
+independent of the BLAS kernel in use. A product whose right operand has
+rank 2 (every ``Linear``) is one GEMM over all leading rows of the left
+operand, in the forward and in both gradients, so its float64 weight
+gradient accumulates over those rows one after another in C order. A
+gradient takes its tensor's dtype in one place, ``Tensor._accumulate``: the
+first contribution is stored as a C-order copy in that dtype, and each later
+one is rounded to it before it is added, so backward closures pass their
+results on uncast.
 """
+
+import math
 
 import numpy as np
 
@@ -269,6 +275,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        # one matrix for every leading row of ``a``: each product is one GEMM
+        a2 = a.data.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+        out = Tensor(_mm(a2, b.data).reshape(a.shape[:-1] + b.shape[1:]))
+        if _wants_grad(a, b):
+            def bwd(g, a=a, b=b, a2=a2):
+                g2 = g.reshape(a2.shape[0], b.shape[1])
+                if a.requires_grad:
+                    a._accumulate(_mm(g2, b.data.T).reshape(a.shape))
+                if b.requires_grad:
+                    b._accumulate(_mm(a2.T, g2))
+            _record(out, bwd)
+        return out
     out = Tensor(_mm(a.data, b.data))
     if _wants_grad(a, b):
         def bwd(g, a=a, b=b):

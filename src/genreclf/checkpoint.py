@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .mmf import write_atomic
+from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model
 from .vocab import GENRES
 
@@ -76,8 +76,7 @@ def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[s
 def read_checkpoint(stem: str, sha256: str = None) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """The model config in ``<stem>.json`` and the parameter arrays it
     describes in ``<stem>.bin``, whose SHA-256 must be ``sha256`` if given."""
-    with open(stem + ".json") as fh:
-        doc = json.load(fh)
+    doc = read_json(stem + ".json")
     if not isinstance(doc, dict):
         raise DataError(f"{stem}.json: checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:

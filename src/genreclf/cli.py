@@ -19,7 +19,7 @@ from .data import (VideoRecord, filter_by_duration, load_manifest,
                    split_records, write_manifest)
 from .errors import ConfigError, DataError, NumericError
 from .metrics import format_table, to_csv
-from .mmf import import_npy, write_atomic, write_mmf
+from .mmf import import_npy, read_json, write_atomic, write_mmf
 from .models import ModelConfig, predict
 from .modalities import default_modalities
 from .checkpoint import load_checkpoint
@@ -47,8 +47,7 @@ def _write_run_manifest(out_dir: str, command: str, resolved: dict, seed: int):
 
 def _load_train_config(args) -> TrainConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = TrainConfig.from_dict(json.load(fh))
+        cfg = TrainConfig.from_dict(read_json(args.config))
     elif args.preset:
         model = ModelConfig.preset(args.preset,
                                    modalities=args.modalities.split(",") if args.modalities else None,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .mmf import read_mmf, write_atomic
+from .mmf import read_json, read_mmf, write_atomic
 from .vocab import GENRES, label_vector
 
 DURATION_LO = 19.6
@@ -61,8 +61,7 @@ def load_manifest(path: str) -> list[VideoRecord]:
     """Read a dataset manifest. Unknown genre names are dropped (the source
     catalog carries more genres than the 21 used here); records left with no
     known genre are rejected."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise DataError(f"{path}: manifest has no \"samples\" list")
     if tuple(doc.get("genres", ())) != GENRES:
@@ -81,7 +80,7 @@ def load_manifest(path: str) -> list[VideoRecord]:
             raise DataError(f"{path}: record {rid} has genres that are not a list: {genres!r}")
         if rec_path is not None and not isinstance(rec_path, str):
             raise DataError(f"{path}: record {rid} has a path that is not a string or null: {rec_path!r}")
-        if duration is not None and (type(duration) not in (int, float) or duration != duration):
+        if duration is not None and type(duration) not in (int, float):
             raise DataError(f"{path}: record {rid} has a duration_s that is not a number: {duration!r}")
         known = tuple(g for g in genres if g in GENRES)
         if not known:

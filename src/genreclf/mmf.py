@@ -15,6 +15,9 @@ Layout, little-endian throughout:
 
 Round-trips are bit-exact. Structural problems are reported with the byte
 offset at which parsing failed.
+
+Every file the package writes goes through ``write_atomic``, and every JSON
+document it reads through ``read_json``.
 """
 
 import json
@@ -63,6 +66,15 @@ def write_atomic(path: str, data: bytes):
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def read_json(path: str):
+    """Parse the JSON file at ``path`` as standard JSON: ``NaN``,
+    ``Infinity`` and ``-Infinity`` are a DataError."""
+    def reject(constant):
+        raise DataError(f"{path}: {constant} is not a standard JSON number")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def read_mmf(path: str) -> dict[str, np.ndarray]:
@@ -141,8 +153,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     """
     from .vocab import GENRES
 
-    with open(manifest_path) as fh:
-        src = json.load(fh)
+    src = read_json(manifest_path)
     if not (isinstance(src, dict) and isinstance(src.get("samples", []), list)):
         raise DataError(f"{manifest_path}: the source manifest is not an object with a list of samples")
     spec_by_name = {s.name: s for s in specs}

@@ -56,15 +56,21 @@ class ParameterStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
-        missing = set(self._params) - set(arrays)
-        extra = set(arrays) - set(self._params)
-        if missing or extra:
-            raise ValueError(f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        check_arrays(arrays, {name: t.shape for name, t in self._params.items()}, "parameter")
         for name, t in self._params.items():
-            src = np.asarray(arrays[name], dtype=self.dtype)
-            if src.shape != t.shape:
-                raise ValueError(f"shape mismatch for {name}: {src.shape} vs {t.shape}")
-            t.data = src.copy()
+            t.data = np.array(arrays[name], dtype=self.dtype, order="C")
+
+
+def check_arrays(arrays: dict[str, np.ndarray], shapes: dict, what: str):
+    """Raise ValueError unless ``arrays`` holds exactly the names of
+    ``shapes``, each with its shape."""
+    missing = set(shapes) - set(arrays)
+    extra = set(arrays) - set(shapes)
+    if missing or extra:
+        raise ValueError(f"{what} set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+    for name, shape in shapes.items():
+        if np.shape(arrays[name]) != shape:
+            raise ValueError(f"shape mismatch for {name}: {np.shape(arrays[name])} vs {shape}")
 
 
 def init_linear(rng: SeededRng, fan_in: int, fan_out: int):

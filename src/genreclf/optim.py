@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .nn import ParameterStore
+from .nn import ParameterStore, check_arrays
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
@@ -66,6 +66,8 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int):
+        shapes = {name: p.shape for name, p in self.store.items()}
+        check_arrays(arrays, {f"{k}.{name}": s for k in "mv" for name, s in shapes.items()}, "Adam moment")
         self.t = int(t)
         for name in self.store.names():
             self.m[name] = np.asarray(arrays[f"m.{name}"], dtype=self.store.dtype).copy()

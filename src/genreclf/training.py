@@ -15,7 +15,7 @@ from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
 from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricsReport, compute_report
-from .mmf import write_atomic
+from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model, predict_scores
 from .optim import Adam, clip_global_norm
 from .rng import SeededRng, derive_seed
@@ -219,8 +219,7 @@ class Trainer:
         """Continue the run saved in ``state_dir``. ``config.model`` must be
         the model config of the saved ``last`` checkpoint."""
         path = os.path.join(state_dir, "trainer_state.json")
-        with open(path) as fh:
-            state = json.load(fh)
+        state = read_json(path)
         if not isinstance(state, dict):
             raise DataError(f"{path}: the trainer state is not a JSON object")
         if state.get("version") != TRAINER_STATE_VERSION:
@@ -230,9 +229,13 @@ class Trainer:
         if saved_model != config.model:
             raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
         t = cls(config, train_records, val_records)
-        t.model.params.load_arrays(arrays)
-        t.adam.load_state_arrays(read_blob(os.path.join(state_dir, "trainer_state.bin"), state["adam_manifest"],
-                                           state["sha256"]["trainer_state.bin"]), state["adam_t"])
+        moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state["adam_manifest"],
+                            state["sha256"]["trainer_state.bin"])
+        try:
+            t.model.params.load_arrays(arrays)
+            t.adam.load_state_arrays(moments, state["adam_t"])
+        except ValueError as exc:
+            raise DataError(f"{state_dir}: {exc}")
         t.dropout_rng = SeededRng.from_state(state["dropout_rng"])
         t.global_step = state["global_step"]
         t.epoch = state["epoch"]

@@ -68,6 +68,59 @@ class TestMatmul:
             ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
+def _naive_stack(x, w):
+    """naive_matmul of each (rows, k) matrix of the stack ``x`` with ``w``."""
+    out = np.zeros(x.shape[:-1] + w.shape[1:])
+    for idx in np.ndindex(x.shape[:-2]):
+        out[idx] = naive_matmul(x[idx], w)
+    return out
+
+
+def _within_float32_rounding(got, x, y):
+    """``got`` is float32 and within the worst-case rounding of float32 dot
+    products of length k from the float64 product ``x @ y``."""
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    bound = (x.shape[-1] + 1) * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(y))
+    return got.dtype == np.float32 and bool(np.all(np.abs(got - x @ y) <= bound))
+
+
+class TestFoldedMatmul:
+    """A rank-2 right operand: the leading axes of the left one fold into one GEMM."""
+
+    @settings(max_examples=80, deadline=None)
+    @example((np.float64, (2, 1), 3, 4, True, 0))      # x[:, :1] of the class-attention layer
+    @example((np.float32, (2, 1), 3, 4, True, 1))
+    @example((np.float64, (2, 0), 3, 2, False, 2))     # an empty stream
+    @example((np.float32, (2, 0), 3, 2, False, 3))
+    @example((np.float64, (1, 5), 4, 3, False, 4))     # B = 1
+    @given(st.tuples(st.sampled_from((np.float32, np.float64)),
+                     st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+                     st.integers(1, 5), st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1)))
+    def test_matches_per_sample_products(self, case):
+        dtype, lead, k, n, strided, seed = case
+        rng = SeededRng(seed)
+        shape = lead + (k,)
+        if strided:     # a slice along axis 1 of a longer array, as x[:, :1]
+            a_arr = rng.normal(shape[:1] + (shape[1] + 2,) + shape[2:]).astype(dtype)[:, :shape[1]]
+        else:
+            a_arr = rng.normal(shape).astype(dtype)
+        w_arr = rng.normal((k, n)).astype(dtype)
+        upstream = rng.normal(lead + (n,)).astype(dtype)
+        a, w = Tensor(a_arr, requires_grad=True), Tensor(w_arr, requires_grad=True)
+        out = ag.matmul(a, w)
+        backward(ag.tsum(ag.mul(out, upstream)))
+        a2, g2 = a_arr.reshape(-1, k), upstream.reshape(-1, n)
+        assert out.shape == lead + (n,) and a.grad.shape == a_arr.shape and w.grad.shape == (k, n)
+        if dtype == np.float64:
+            assert out.data.tobytes() == _naive_stack(a_arr, w_arr).tobytes()
+            assert a.grad.tobytes() == _naive_stack(upstream, w_arr.T).tobytes()
+            assert w.grad.tobytes() == ag._matmul_ordered(a2.T, g2).tobytes()
+        else:
+            assert _within_float32_rounding(out.data.reshape(-1, n), a2, w_arr)
+            assert _within_float32_rounding(a.grad.reshape(-1, k), g2, w_arr.T)
+            assert _within_float32_rounding(w.grad, a2.T, g2)
+
+
 class TestSoftmax:
     def test_uniform_row(self):
         out = ag.softmax_rows(Tensor([[0.0, 0.0, 0.0]], dtype=np.float64))
@@ -281,6 +334,8 @@ OPS = {
             lambda rng: [_rand(rng, (3, 4)), _rand(rng, (3, 4))]),
     "matmul": (lambda a, b: ag.tsum(ag.mul(ag.matmul(a, b), 0.7)),
                lambda rng: [_rand(rng, (3, 4)), _rand(rng, (4, 2))]),
+    "folded_matmul": (lambda a, b: ag.tsum(ag.mul(ag.matmul(a, b), np.arange(12.0).reshape(2, 3, 2) / 7.0)),
+                      lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (4, 2))]),
     "batched_matmul": (lambda a, b: ag.tsum(ag.matmul(a, b)),
                        lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 2))]),
     "relu": (lambda a: ag.tsum(ag.relu(a)), lambda rng: [_rand(rng, (5, 5))]),

@@ -242,6 +242,19 @@ class TestResume:
         assert main(["train", "--config", cfg, "--data", mean_data, "--out", out]) == 0
         return out
 
+    def _resume_edited(self, mean_data, tmp_path, capsys, edit):
+        """Exit code and stderr of resuming a 1-step run whose trainer state ``edit`` changed."""
+        part = self._saved(mean_data, tmp_path, 1)
+        path = os.path.join(part, "trainer_state.json")
+        state = json.load(open(path))
+        edit(state)
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        capsys.readouterr()
+        rc = main(["train", "--config", small_train_config(tmp_path), "--data", mean_data,
+                   "--out", str(tmp_path / "resumed"), "--resume", part])
+        return rc, capsys.readouterr().err
+
     def test_resume_reproduces_uninterrupted_history(self, mean_data, tmp_path):
         full = self._saved(mean_data, tmp_path, 3)
         part = self._saved(mean_data, tmp_path, 1)
@@ -254,21 +267,31 @@ class TestResume:
     @pytest.mark.parametrize("key, value", [("sha256", DROP), ("losses", "1.0"), ("dropout_rng", {"seed": 1})],
                              ids=["sha256-missing", "losses-string", "rng-without-counter"])
     def test_malformed_state_is_data_error(self, mean_data, tmp_path, capsys, key, value):
-        part = self._saved(mean_data, tmp_path, 1)
-        path = os.path.join(part, "trainer_state.json")
-        state = json.load(open(path))
-        if value is DROP:
-            del state[key]
-        else:
-            state[key] = value
-        with open(path, "w") as fh:
-            json.dump(state, fh)
-        capsys.readouterr()
-        rc = main(["train", "--config", small_train_config(tmp_path), "--data", mean_data,
-                   "--out", str(tmp_path / "resumed"), "--resume", part])
-        err = capsys.readouterr().err
+        def edit(state):
+            if value is DROP:
+                del state[key]
+            else:
+                state[key] = value
+        rc, err = self._resume_edited(mean_data, tmp_path, capsys, edit)
         assert rc == 3
         assert f"field {key!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: entry.update(name="m.nope"), "extra=['m.nope']"),
+        (lambda entry: entry.update(shape=[int(np.prod(entry["shape"]))]), "shape mismatch for m."),
+    ], ids=["renamed", "flattened"])
+    def test_adam_moments_not_matching_the_model_are_data_error(self, mean_data, tmp_path, capsys, edit, message):
+        rc, err = self._resume_edited(mean_data, tmp_path, capsys, lambda state: edit(state["adam_manifest"][0]))
+        assert rc == 3
+        assert message in err and "Traceback" not in err
+
+    def test_non_standard_json_numbers_are_data_error(self, mean_data, tmp_path, capsys):
+        def edit(state):
+            state["best_map"] = float("nan")
+            state["losses"][0][1] = float("inf")
+        rc, err = self._resume_edited(mean_data, tmp_path, capsys, edit)
+        assert rc == 3
+        assert "is not a standard JSON number" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from genreclf.data import make_batch
 from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.gradcheck import grad_check
 from genreclf.models import ARCHITECTURES, ModelConfig, build_model, predict_scores
+from genreclf.mmf import read_json
 from genreclf.modalities import ModalitySpec
 from genreclf.rng import SeededRng
 from genreclf.synth import synth_mean_encoded
@@ -219,11 +220,7 @@ class TestTrainer:
         train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=2, seed=43,
                           checkpoint_dir=part_dir), records)   # no validation: best_map stays -inf
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        with open(os.path.join(part_dir, "trainer_state.json")) as fh:
-            state = json.load(fh, parse_constant=reject)
+        state = read_json(os.path.join(part_dir, "trainer_state.json"))   # NaN or Infinity raise
         assert state["best_map"] is None
 
         resumed = Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=43),

@@ -85,7 +85,7 @@ def read_checkpoint(stem: str, sha256: str = None) -> tuple[ModelConfig, dict[st
         raise DataError(f"{stem}.json: checkpoint genre vocabulary does not match this build")
     try:
         config = ModelConfig.from_dict(doc.get("config"))
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise DataError(f"{stem}.json: malformed model config: {exc!r}")
     return config, read_blob(stem + ".bin", doc.get("parameters"), sha256)
 

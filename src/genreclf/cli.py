@@ -135,7 +135,10 @@ def cmd_train(args) -> int:
     if splits["val"]:
         report = evaluate(trainer.model, splits["val"])
         print(format_table(report))
-    print(f"final loss={history.losses[-1][1]:.6f} steps={history.losses[-1][0]}")
+    if history.losses:
+        print(f"final loss={history.losses[-1][1]:.6f} steps={history.losses[-1][0]}")
+    else:
+        print("no training step taken")
     return 0
 
 

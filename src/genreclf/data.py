@@ -4,6 +4,7 @@ minibatch assembly."""
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,19 +35,42 @@ class VideoRecord:
 
 @dataclass
 class Batch:
-    """Fixed-length padded tensors per modality plus validity masks.
+    """Each record's head per modality plus the one-hot labels.
 
-    Pad positions hold zero vectors and mask False; labels are the one-hot
-    multi-label matrix over the fixed genre vocabulary.
+    ``heads[name][i]`` is a float32 view of record i's sequence cut to the
+    batch length L of ``shapes[name] = (L, D)``. The padded (B, L, D)
+    ``features`` and (B, L) ``masks`` (pad rows zero and False) are built
+    together on first access and then kept; only token streams need them.
+    ``means`` averages the heads' own rows.
     """
-    features: dict[str, np.ndarray]   # name -> (B, L, D) float32
-    masks: dict[str, np.ndarray]      # name -> (B, L) bool
+    heads: dict[str, list[np.ndarray]]
+    shapes: dict[str, tuple[int, int]]
     labels: np.ndarray                # (B, 21) float32
     ids: list[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return self.labels.shape[0]
+
+    @cached_property
+    def _padded(self):
+        feats, masks = {}, {}
+        for name, heads in self.heads.items():
+            x = feats[name] = np.zeros((len(heads),) + self.shapes[name], dtype=np.float32)
+            m = masks[name] = np.zeros(x.shape[:2], dtype=bool)
+            for i, head in enumerate(heads):
+                x[i, :len(head)], m[i, :len(head)] = head, True
+        return feats, masks
+
+    features = property(lambda self: self._padded[0])
+    masks = property(lambda self: self._padded[1])
+
+    def means(self, name: str, limit: int = None) -> np.ndarray:
+        """(B, D) float32 temporal mean of each head, or of its first
+        ``limit`` rows: bit-equal to ``temporal_average`` of the padded
+        batch, without building it."""
+        rows = [temporal_average(head[:limit]) for head in self.heads[name]]
+        return np.stack(rows) if rows else np.zeros((0, self.shapes[name][1]), dtype=np.float32)
 
 
 @dataclass
@@ -167,27 +191,30 @@ def temporal_average(seq: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
     """Mean over valid time steps, or a zero vector when none are valid.
 
     ``seq`` is (..., T, D) with an optional (..., T) validity mask; the
-    result is (..., D) float32, so a (B, T, D) batch gives (B, D).
+    result is (..., D) float32, so a (B, T, D) batch gives (B, D). Without
+    a mask every step is valid and the rows are summed as they are.
     Accumulates in float64 before narrowing back so the result does not
     depend on frame order.
     """
     x = np.asarray(seq)
-    valid = np.ones(x.shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=valid[..., None])
-    return (total / np.maximum(valid.sum(axis=-1, keepdims=True), 1)).astype(np.float32)
+    valid = True if mask is None else np.asarray(mask, dtype=bool)[..., None]
+    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=valid)
+    count = x.shape[-2] if mask is None else valid.sum(axis=-2)
+    return (total / np.maximum(count, 1)).astype(np.float32)
 
 
 def make_batch(records, specs, lengths: str = "train") -> Batch:
-    """Assemble padded per-modality tensors for a list of records.
+    """Collect each record's per-modality head for a list of records.
 
-    ``lengths="train"`` pads/truncates to each spec's train_max_len (head
-    of the sequence kept). ``lengths="full"`` pads to the longest sequence
-    in the batch, which for a single record means no padding at all.
+    ``lengths="train"`` cuts every sequence to its spec's train_max_len
+    (head of the sequence kept). ``lengths="full"`` keeps the longest
+    sequence in the batch whole, which for a single record means no
+    padding at all. Nothing is copied or padded here; see ``Batch``.
     """
     if lengths not in ("train", "full"):
         raise ValueError(f"lengths must be 'train' or 'full', got {lengths!r}")
-    feats = {}
-    masks = {}
+    heads = {}
+    shapes = {}
     n = len(records)
     per_record = [r.get_features() for r in records]
     for spec in specs:
@@ -196,7 +223,7 @@ def make_batch(records, specs, lengths: str = "train") -> Batch:
             seq = f.get(spec.name)
             if seq is None:
                 seq = np.zeros((0, spec.input_dim), dtype=np.float32)
-            seq = np.asarray(seq, dtype=np.float32)
+            seq = np.asarray(seq)
             if seq.ndim != 2 or seq.shape[1] != spec.input_dim:
                 raise DataError(
                     f"record {r.id} modality {spec.name}: shape {seq.shape} incompatible with input_dim {spec.input_dim}")
@@ -206,13 +233,7 @@ def make_batch(records, specs, lengths: str = "train") -> Batch:
         else:
             limit = max((s.shape[0] for s in seqs), default=0)
         limit = max(limit, 0)
-        x = np.zeros((n, limit, spec.input_dim), dtype=np.float32)
-        m = np.zeros((n, limit), dtype=bool)
-        for i, seq in enumerate(seqs):
-            t = min(seq.shape[0], limit)
-            x[i, :t] = seq[:t]
-            m[i, :t] = True
-        feats[spec.name] = x
-        masks[spec.name] = m
+        heads[spec.name] = [s[:limit].astype(np.float32, copy=False) for s in seqs]
+        shapes[spec.name] = (limit, spec.input_dim)
     labels = np.stack([label_vector(r.genres) for r in records]) if n else np.zeros((0, len(GENRES)), dtype=np.float32)
-    return Batch(features=feats, masks=masks, labels=labels, ids=[r.id for r in records])
+    return Batch(heads=heads, shapes=shapes, labels=labels, ids=[r.id for r in records])

@@ -1,5 +1,7 @@
 """Package exception hierarchy, mapped to CLI exit codes."""
 
+import math
+
 
 class GenreclfError(Exception):
     """Base for all package-specific failures."""
@@ -19,3 +21,30 @@ class MmfFormatError(DataError):
 
 class NumericError(GenreclfError):
     """Non-finite values encountered during training (CLI exit code 4)."""
+
+
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
+          dict: "an object", list: "a list"}
+
+
+def config_field(d, key: str, kind: type, default=_REQUIRED, where: str = "config"):
+    """``d[key]`` if it is a ``kind`` (a bool is not an int, a float must be
+    finite), else a ``ConfigError`` naming the field. A missing key, or a
+    null where the default is None, gives the default if there is one."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} is not an object: {d!r:.80}")
+    value = d.get(key)
+    if key not in d or (value is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} field {key!r} is missing")
+        return default
+    if kind is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    elif kind is list:
+        ok = isinstance(value, (list, tuple))   # to_dict keeps tuples
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ConfigError(f"{where} field {key!r} must be {_KINDS[kind]}, got {value!r:.80}")
+    return float(value) if kind is float else value

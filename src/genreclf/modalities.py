@@ -9,6 +9,9 @@ for the noisier text-derived streams.
 """
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
+
+from .errors import config_field
 
 
 @dataclass(frozen=True)
@@ -23,12 +26,10 @@ class ModalitySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
-        return cls(
-            name=d["name"],
-            input_dim=int(d["input_dim"]),
-            train_max_len=int(d["train_max_len"]),
-            temporal_average=bool(d.get("temporal_average", False)),
-        )
+        name = config_field(d, "name", str, where="modality")
+        get = partial(config_field, d, where=f"modality {name!r}")
+        return cls(name=name, input_dim=get("input_dim", int), train_max_len=get("train_max_len", int),
+                   temporal_average=get("temporal_average", bool, False))
 
 
 DEFAULT_SPECS = (

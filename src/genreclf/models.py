@@ -19,13 +19,14 @@ positions); the MLP path always consumes the full duration.
 """
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, no_grad
-from .data import Batch, temporal_average
-from .errors import ConfigError, DataError
+from .data import Batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
+from .errors import ConfigError, DataError, config_field
 from .modalities import ModalitySpec, default_modalities
 from .nn import Linear, ParameterStore, TransformerEncoderLayer, init_embedding
 from .rng import SeededRng, derive_seed
@@ -54,6 +55,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
+        if self.model_dim < 1 or self.num_heads < 1:
+            raise ConfigError(f"model_dim and num_heads must be >= 1, got {self.model_dim} and {self.num_heads}")
+        if not 0 <= self.dropout_rate < 1:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.architecture != "mlp" and self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         names = [s.name for s in self.modalities]
@@ -76,26 +81,25 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        get = partial(config_field, d, where="model")
         return cls(
-            architecture=d["architecture"],
-            model_dim=int(d["model_dim"]),
-            num_layers=int(d["num_layers"]),
-            num_heads=int(d["num_heads"]),
-            dropout_rate=float(d.get("dropout_rate", 0.5)),
-            modalities=tuple(ModalitySpec.from_dict(m) for m in d["modalities"]),
-            positive_weight=float(d.get("positive_weight", 0.25)),
-            threshold=float(d.get("threshold", 0.5)),
+            architecture=get("architecture", str),
+            model_dim=get("model_dim", int),
+            num_layers=get("num_layers", int),
+            num_heads=get("num_heads", int),
+            dropout_rate=get("dropout_rate", float, 0.5),
+            modalities=tuple(ModalitySpec.from_dict(m) for m in get("modalities", list)),
+            positive_weight=get("positive_weight", float, 0.25),
+            threshold=get("threshold", float, 0.5),
         )
 
 
-def _modality_batch(batch: Batch, spec: ModalitySpec):
-    if spec.name not in batch.features:
+def _check_modality(batch: Batch, spec: ModalitySpec):
+    if spec.name not in batch.heads:
         raise DataError(f"batch is missing modality {spec.name!r}")
-    x = batch.features[spec.name]
-    m = batch.masks[spec.name]
-    if x.ndim != 3 or x.shape[2] != spec.input_dim:
-        raise DataError(f"modality {spec.name}: batch width {x.shape} incompatible with input_dim {spec.input_dim}")
-    return x, m
+    if batch.shapes[spec.name][1] != spec.input_dim:
+        raise DataError(f"modality {spec.name}: batch width {batch.shapes[spec.name]} "
+                        f"incompatible with input_dim {spec.input_dim}")
 
 
 def _per_sample(vec: Tensor, b: int) -> Tensor:
@@ -122,10 +126,13 @@ class _TransformerModel(_Model):
         """The head of one modality's sequence, up to its positional table,
         projected to model width with learned positions added; an averaged
         stream becomes one token, the mean of that head. -> (tokens, mask)"""
-        x, m = _modality_batch(batch, spec)
-        x, m = x[:, :spec.train_max_len], m[:, :spec.train_max_len]
+        _check_modality(batch, spec)
         if spec.temporal_average:
-            x, m = temporal_average(x, m)[:, None, :], m.any(axis=1, keepdims=True)
+            x = batch.means(spec.name, limit=spec.train_max_len)[:, None, :]
+            m = np.array([len(h[:spec.train_max_len]) for h in batch.heads[spec.name]], dtype=int)[:, None] > 0
+        else:
+            x = batch.features[spec.name][:, :spec.train_max_len]
+            m = batch.masks[spec.name][:, :spec.train_max_len]
         tokens = self.proj[spec.name](Tensor(x))
         if x.shape[1] > 0:
             tokens = ag.add(tokens, ag.getitem(self.params[f"pos.{spec.name}"], slice(0, x.shape[1])))
@@ -143,8 +150,8 @@ class MlpModel(_Model):
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
         cols = []
         for spec in self.config.modalities:
-            x, m = _modality_batch(batch, spec)
-            cols.append(temporal_average(x, m))
+            _check_modality(batch, spec)
+            cols.append(batch.means(spec.name))
         h = ag.relu(self.hidden(Tensor(np.concatenate(cols, axis=1))))
         h = ag.dropout(h, self.config.dropout_rate, train, rng)
         return self.head(h)
@@ -214,8 +221,8 @@ class MultiTransformerModel(_TransformerModel):
         cols = []
         for spec in self.config.modalities:
             if spec.temporal_average:
-                x, m = _modality_batch(batch, spec)
-                cols.append(self.proj[spec.name](Tensor(temporal_average(x, m))))
+                _check_modality(batch, spec)
+                cols.append(self.proj[spec.name](Tensor(batch.means(spec.name))))
                 continue
             tokens, m = self._stream_tokens(batch, spec)
             seq = ag.concat([_per_sample(self.params[f"cls.{spec.name}"], b), tokens], axis=1)

@@ -4,6 +4,7 @@ validation-driven checkpointing and bit-exact resume."""
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -13,7 +14,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, config_field
 from .metrics import MetricsReport, compute_report
 from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model, predict_scores
@@ -59,21 +60,27 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        try:
-            model = ModelConfig.from_dict(d["model"])
-        except KeyError as exc:
-            raise ConfigError(f"train config missing field: {exc}")
         return cls(
-            model=model,
-            lr=float(d.get("lr", 1e-5)),
-            batch_size=int(d.get("batch_size", 32)),
-            clip_norm=float(d.get("clip_norm", 1.0)),
-            epochs=int(d.get("epochs", 1)),
-            max_steps=None if d.get("max_steps") is None else int(d["max_steps"]),
-            eval_interval=int(d.get("eval_interval", 0)),
-            seed=int(d.get("seed", 0)),
-            checkpoint_dir=d.get("checkpoint_dir"),
+            model=ModelConfig.from_dict(config_field(d, "model", dict)),
+            lr=config_field(d, "lr", float, 1e-5),
+            batch_size=config_field(d, "batch_size", int, 32),
+            clip_norm=config_field(d, "clip_norm", float, 1.0),
+            epochs=config_field(d, "epochs", int, 1),
+            max_steps=config_field(d, "max_steps", int, None),
+            eval_interval=config_field(d, "eval_interval", int, 0),
+            seed=config_field(d, "seed", int, 0),
+            checkpoint_dir=config_field(d, "checkpoint_dir", str, None),
         )
+
+    def check(self):
+        """Refuse settings the loop cannot run with (lr 0 and max_steps 0 run)."""
+        for name, ok, what in (("batch_size", self.batch_size >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
+                               ("max_steps", self.max_steps is None or self.max_steps >= 0, ">= 0 or null"),
+                               ("eval_interval", self.eval_interval >= 0, ">= 0"),
+                               ("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
+                               ("clip_norm", 0 < self.clip_norm < math.inf, "finite and > 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -119,6 +126,7 @@ class Trainer:
     (config seed, epoch index); the final short minibatch is kept."""
 
     def __init__(self, config: TrainConfig, train_records, val_records=()):
+        config.check()
         self.config = config
         self.train_records = list(train_records)
         self.val_records = list(val_records)

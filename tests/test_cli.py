@@ -235,6 +235,43 @@ class TestTrain:
         assert "sample 0 has an id that is not a string" in err and "Traceback" not in err
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-1"], ["--max-steps", "-1"],
+                                       ["--eval-interval", "-2"], ["--lr", "-0.001"], ["--lr", "nan"]])
+    def test_out_of_range_flag_is_config_error(self, mean_data, tmp_path, capsys, flags):
+        rc = main(["train", "--preset", "mlp", *flags, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert flags[0][2:].replace("-", "_") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value", [
+        (("model", "model_dim"), "x"), (("model", "num_heads"), 0), (("model", "dropout_rate"), 1.5),
+        (("model", "modalities", 0, "input_dim"), 51.2), (("model", "architecture"), None),
+        (("batch_size",), "x"), (("batch_size",), True), (("batch_size",), 0), (("max_steps",), 1.5),
+        (("lr",), "1e-3"), (("clip_norm",), 0), (("clip_norm",), -1.0), (("seed",), "3"), (("model",), []),
+    ])
+    def test_malformed_config_field_is_config_error(self, mean_data, tmp_path, capsys, path, value):
+        cfg = small_train_config(tmp_path)
+        doc = json.load(open(cfg))
+        target = doc
+        for k in path[:-1]:
+            target = target[k]
+        target[path[-1]] = value
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["train", "--config", cfg, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and path[-1] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--max-steps", "0"], ["--epochs", "0"]])
+    def test_run_without_steps_exits_zero(self, mean_data, tmp_path, capsys, flags):
+        out = str(tmp_path / "x")
+        assert main(["train", "--preset", "mlp", *flags, "--data", mean_data, "--out", out]) == 0
+        assert "no training step taken" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(out, "best.bin"))
+
+
 class TestResume:
     def _saved(self, mean_data, tmp_path, steps):
         cfg = small_train_config(tmp_path, max_steps=steps)

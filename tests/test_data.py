@@ -181,6 +181,46 @@ class TestMakeBatch:
         assert batch.masks["clip"].all()
 
 
+class TestBatchHeads:
+    @settings(max_examples=300, deadline=None)
+    @example(d=1, max_len=3, lens=[0, 5, 2], missing=[False, False, True], lengths="train", limit=None,
+             scale=1.0)
+    @example(d=2, max_len=4, lens=[], missing=[], lengths="full", limit=2, scale=1.0)
+    @given(d=st.integers(1, 5), max_len=st.integers(0, 8), lens=st.lists(st.integers(0, 12), max_size=4),
+           missing=st.lists(st.booleans(), min_size=4, max_size=4), lengths=st.sampled_from(("train", "full")),
+           limit=st.none() | st.integers(0, 10), scale=st.sampled_from((1e-3, 1.0, 1e3)))
+    def test_means_equal_temporal_average_of_padded(self, d, max_len, lens, missing, lengths, limit, scale):
+        # heads longer and shorter than train_max_len, empty and missing
+        # streams, D = 1 and B = 0; the padded reduce is the reference
+        rng = SeededRng(len(lens) * 100 + d)
+        records = [rec(i, features=None if gone else {"s": (rng.normal((t, d)) * scale).astype(np.float32)})
+                   for i, (t, gone) in enumerate(zip(lens, missing))]
+        batch = make_batch(records, (ModalitySpec("s", d, max_len),), lengths=lengths)
+        got = batch.means("s", limit)
+        assert "_padded" not in batch.__dict__
+        want = temporal_average(batch.features["s"][:, :limit], batch.masks["s"][:, :limit])
+        assert got.shape == (len(lens), d) and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_heads_are_views_of_the_records(self):
+        rng = SeededRng(6)
+        records = [small_record(0, 10, 2, rng), small_record(1, 3, 0, rng)]
+        records[1].features["ocr"] = records[1].features["clip"][:, :4].astype(np.float64)
+        batch = make_batch(records, SMALL_SPECS)
+        assert [h.shape for h in batch.heads["clip"]] == [(6, 8), (3, 8)]
+        assert all(np.shares_memory(h, r.features["clip"]) for h, r in zip(batch.heads["clip"], records))
+        assert batch.heads["ocr"][1].dtype == np.float32
+        assert batch.shapes == {"clip": (6, 8), "ocr": (3, 4)}
+
+    def test_padded_tensors_built_once_and_kept(self):
+        batch = make_batch([small_record(0, 4, 1, SeededRng(7))], SMALL_SPECS)
+        assert "_padded" not in batch.__dict__
+        assert batch.features is batch.features and batch.masks is batch.masks
+        poked = np.ones_like(batch.features["clip"])
+        batch.features["clip"] = poked
+        assert batch.features["clip"] is poked
+
+
 class TestMmf:
     def random_features(self, rng, with_empty=False):
         feats = {

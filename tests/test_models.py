@@ -3,14 +3,15 @@ import pytest
 
 import genreclf.autograd as ag
 import genreclf.mmf as mmf
+import genreclf.training as training
 from genreclf.autograd import no_grad
 from genreclf.checkpoint import load_checkpoint, save_checkpoint
-from genreclf.data import VideoRecord, make_batch
+from genreclf.data import Batch, VideoRecord, make_batch, temporal_average
 from genreclf.errors import ConfigError, DataError
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec
 from genreclf.models import ModelConfig, build_model, predict, predict_scores
 from genreclf.rng import SeededRng
-from genreclf.training import weighted_bce
+from genreclf.training import TrainConfig, Trainer, evaluate, weighted_bce
 from genreclf.vocab import GENRES
 
 TOY_SPECS = (
@@ -74,6 +75,30 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = toy_config("multi_transformer", averaged=("ocr",))
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("overrides", [{"num_heads": 0}, {"model_dim": 0}, {"model_dim": -8},
+                                           {"dropout_rate": 1.0}, {"dropout_rate": 1.5}, {"dropout_rate": -0.1},
+                                           {"dropout_rate": float("nan")}])
+    def test_out_of_range_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            ModelConfig.preset("single_transformer", **overrides)
+
+    @pytest.mark.parametrize("path, value", [
+        (("model_dim",), "x"), (("model_dim",), True), (("model_dim",), 8.0), (("num_layers",), None),
+        (("num_heads",), "2"), (("dropout_rate",), "0.1"), (("dropout_rate",), float("inf")),
+        (("threshold",), False), (("architecture",), 3), (("modalities",), {}), (("modalities", 0), "clip"),
+        (("modalities", 0, "name"), 5), (("modalities", 0, "input_dim"), True),
+        (("modalities", 0, "train_max_len"), "7"), (("modalities", 0, "temporal_average"), 1),
+    ])
+    def test_from_dict_field_types_checked(self, path, value):
+        d = toy_config("mlp").to_dict()
+        d["modalities"] = [dict(m) for m in d["modalities"]]
+        target = d
+        for k in path[:-1]:
+            target = target[k]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match="object" if path == ("modalities", 0) else path[-1]):
+            ModelConfig.from_dict(d)
 
 
 class TestShapes:
@@ -202,12 +227,64 @@ class TestMaskInvariance:
         batch = make_batch(records, TOY_SPECS)
         base = predict_scores(model, batch)
         rng = SeededRng(21)
+        poked = {}
         for name in batch.features:
             x, m = batch.features[name], batch.masks[name]
             noise = rng.normal(x.shape, 0.0, 100.0).astype(np.float32)
-            batch.features[name] = np.where(m[:, :, None], x, noise)
-        poked = predict_scores(model, batch)
-        assert np.array_equal(base, poked)
+            batch.features[name] = poked[name] = np.where(m[:, :, None], x, noise)
+        assert all(batch.features[name] is poked[name] for name in poked)   # the model reads the poked arrays
+        assert np.array_equal(base, predict_scores(model, batch))
+
+
+def spy_batches(monkeypatch):
+    """Every batch the training module makes, in order."""
+    batches = []
+
+    def spy(*args, **kwargs):
+        batches.append(make_batch(*args, **kwargs))
+        return batches[-1]
+    monkeypatch.setattr(training, "make_batch", spy)
+    return batches
+
+
+class TestPaddingOnDemand:
+    @pytest.mark.parametrize("arch, averaged", [("mlp", ()), ("multi_transformer", ("clip", "ocr", "asr"))])
+    def test_averaged_models_build_no_padded_tensor(self, arch, averaged, monkeypatch):
+        batches = spy_batches(monkeypatch)
+        records = toy_records(7, seed=81, max_extra=4)
+        config = TrainConfig(model=toy_config(arch, averaged=averaged), lr=1e-3, batch_size=3, max_steps=2,
+                             eval_interval=1)
+        trainer = Trainer(config, records[:5], records[5:])
+        trainer.run()
+        evaluate(trainer.model, records)
+        assert len(batches) == 2 + 2 * 2 + 7
+        assert not any("_padded" in b.__dict__ for b in batches)
+
+    @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
+    def test_token_streams_read_the_padded_tensors(self, arch):
+        batch = make_batch(toy_records(3, seed=82), TOY_SPECS)
+        with no_grad():
+            build_model(toy_config(arch, averaged=("ocr",)), seed=83).forward(batch)
+        assert "_padded" in batch.__dict__
+
+    @pytest.mark.parametrize("arch, cut", [("single_transformer", 4), ("multi_transformer", None)])
+    def test_averaged_stream_reads_the_head_mean(self, arch, cut, monkeypatch):
+        # the padded reduce the averaged branches replaced: cut to ocr's
+        # positional table (4 rows) on single_transformer, over the whole
+        # batch length on multi_transformer
+        config = toy_config(arch, averaged=("ocr",), dropout=0.3)
+        records = toy_records(4, seed=84, max_extra=5)
+        records[2].features["ocr"] = np.zeros((0, 6), dtype=np.float32)
+        assert max(len(r.features["ocr"]) for r in records) > 4
+        model = build_model(config, seed=85, dtype=np.float64)
+        batch = make_batch(records, config.modalities, lengths="full")
+        got = model.forward(batch, train=True, rng=SeededRng(86)).data
+        if arch == "single_transformer":
+            _, mask = model._stream_tokens(batch, config.modalities[1])
+            assert mask[:, 0].tolist() == [len(r.features["ocr"]) > 0 for r in records]
+        monkeypatch.setattr(Batch, "means", lambda self, name, limit=None: temporal_average(
+            self.features[name][:, :cut], self.masks[name][:, :cut]))
+        assert got.tobytes() == model.forward(batch, train=True, rng=SeededRng(86)).data.tobytes()
 
 
 class TestBatchEquivalence:

@@ -132,6 +132,20 @@ class TestTrainer:
         for k in before:
             assert np.array_equal(before[k], after[k])
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1), ("max_steps", -1),
+                                              ("eval_interval", -1), ("lr", -1e-3), ("lr", float("inf")),
+                                              ("clip_norm", 0.0), ("clip_norm", float("nan"))])
+    def test_out_of_range_config_refused(self, field, value):
+        cfg = TrainConfig(model=small_config(), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            Trainer(cfg, mean_records(4))
+
+    def test_no_step_run_keeps_initial_parameters(self):
+        trainer = Trainer(TrainConfig(model=small_config(), lr=0.0, max_steps=0), mean_records(4))
+        before = trainer.model.params.to_arrays()
+        assert trainer.run().losses == [] and trainer.global_step == 0
+        assert all(np.array_equal(v, trainer.model.params.to_arrays()[k]) for k, v in before.items())
+
     def test_same_seed_identical_loss_curves(self):
         cfg = TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=7)
         _, h1 = train(cfg, mean_records(24))

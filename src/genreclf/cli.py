@@ -232,17 +232,15 @@ SWEEP_FRAME_COUNTS = (8, 16, 32, 64, 128, 256)
 
 def _subsample_clip(records, n_frames: int, seed: int):
     """Per-record uniform subsample of clip frames, without replacement,
-    temporal order preserved. Records with fewer frames keep them all."""
+    temporal order preserved. Records with fewer frames keep them all. The
+    new records carry the chosen frame index, not the frames."""
     out = []
-    for i, rec in enumerate(records):
-        feats = dict(rec.get_features())
-        clip = feats.get("clip")
+    for rec in records:
+        clip = rec.get_features().get("clip")
         if clip is None:
             raise DataError(f"record {rec.id} has no clip features")
         rng = SeededRng(derive_seed(seed, "frames", rec.id))
-        idx = rng.subsample_sorted(clip.shape[0], n_frames)
-        feats["clip"] = clip[idx]
-        out.append(VideoRecord(id=rec.id, duration_s=rec.duration_s, genres=rec.genres, features=feats))
+        out.append(dataclasses.replace(rec, clip_frames=rng.subsample_sorted(clip.shape[0], n_frames)))
     return out
 
 

@@ -23,14 +23,19 @@ class VideoRecord:
     genres: tuple[str, ...]
     features: dict[str, np.ndarray] | None = None
     path: str | None = None
+    clip_frames: np.ndarray | None = None   # sorted clip rows to keep; None keeps all
 
     def get_features(self) -> dict[str, np.ndarray]:
-        """In-memory features, reading the .mmf file on first access."""
-        if self.features is None:
+        """In-memory features, or the .mmf file's read-only views, read anew
+        on each call and not kept; ``clip_frames`` selects clip rows."""
+        features = self.features
+        if features is None:
             if self.path is None:
                 raise DataError(f"record {self.id} has neither features nor a path")
-            self.features = read_mmf(self.path)
-        return self.features
+            features = read_mmf(self.path)
+        if self.clip_frames is not None:
+            features = {**features, "clip": features["clip"][self.clip_frames]}
+        return features
 
 
 @dataclass

@@ -21,6 +21,7 @@ document it reads through ``read_json``.
 """
 
 import json
+import mmap
 import os
 import struct
 
@@ -78,9 +79,15 @@ def read_json(path: str):
 
 
 def read_mmf(path: str) -> dict[str, np.ndarray]:
-    """Read a .mmf file back into a modality -> float32 array mapping."""
+    """Read a .mmf file into a modality -> float32 array mapping of read-only
+    views of the mapped file, which stays mapped while any view lives.
+    Replacing the file through ``write_atomic`` leaves the views intact;
+    truncating it in place makes a later access fault (SIGBUS)."""
     with open(path, "rb") as fh:
-        buf = fh.read()
+        try:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:   # an empty file cannot be mapped; it is truncated at byte 0
+            buf = b""
 
     def need(offset, n, what):
         if offset + n > len(buf):
@@ -115,9 +122,8 @@ def read_mmf(path: str) -> dict[str, np.ndarray]:
         pos = end
         nbytes = t * d * 4
         end = need(pos, nbytes, f"{name} data")
-        arr = np.frombuffer(buf, dtype="<f4", count=t * d, offset=pos).reshape(t, d)
+        features[name] = np.frombuffer(buf, dtype="<f4", count=t * d, offset=pos).reshape(t, d)
         pos = end
-        features[name] = arr.copy()
     if pos != len(buf):
         raise MmfFormatError(f"{path}: {len(buf) - pos} trailing bytes at byte {pos}")
     return features

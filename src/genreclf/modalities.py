@@ -11,7 +11,7 @@ for the noisier text-derived streams.
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
-from .errors import config_field
+from .errors import ConfigError, config_field
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,17 @@ class ModalitySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
+        """A spec from config: the name must be a default-schema modality
+        and both sizes at least 1, else a ConfigError naming the field."""
         name = config_field(d, "name", str, where="modality")
+        if name not in SPEC_BY_NAME:
+            raise ConfigError(f"modality {name!r} is not one of {', '.join(SPEC_BY_NAME)}")
         get = partial(config_field, d, where=f"modality {name!r}")
-        return cls(name=name, input_dim=get("input_dim", int), train_max_len=get("train_max_len", int),
-                   temporal_average=get("temporal_average", bool, False))
+        sizes = {key: get(key, int) for key in ("input_dim", "train_max_len")}
+        for key, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"modality {name!r} field {key!r} must be >= 1, got {value}")
+        return cls(name=name, **sizes, temporal_average=get("temporal_average", bool, False))
 
 
 DEFAULT_SPECS = (

@@ -12,7 +12,7 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for g in grads:
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        total += float(np.sum(np.square(g, dtype=np.float64)))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
@@ -21,11 +21,22 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     return norm
 
 
+_BLOCK = 1 << 16   # elements per in-place update block, so its operands stay in cache
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 1-D view, so that updates of it land in ``a``."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"Adam updates C-contiguous arrays in place, got strides {a.strides}")
+    return a.reshape(-1)
+
+
 class Adam:
     """Standard bias-corrected Adam over a ParameterStore.
 
     Moments are kept in the store's dtype so checkpoint-resume reproduces an
-    uninterrupted run bit for bit.
+    uninterrupted run bit for bit. ``step`` updates in place, block by
+    block, through two scratch rows of this instance.
     """
 
     def __init__(self, store: ParameterStore, lr: float = 1e-5,
@@ -38,6 +49,8 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self._scratch = np.empty((2, min(_BLOCK, max((p.data.size for _, p in store.items()), default=0))),
+                                 dtype=store.dtype)
 
     def step(self):
         for name, p in self.store.items():
@@ -47,16 +60,19 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.store.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            arrays = [_flat(a) for a in (p.data, p.grad, self.m[name], self.v[name])]
+            for lo in range(0, p.data.size, _BLOCK):
+                x, g, m, v = (a[lo:lo + _BLOCK] for a in arrays)
+                s, u = self._scratch[:, :len(x)]
+                # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), operation by operation
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=s)
+                v *= self.beta2
+                v += np.multiply(np.multiply(g, g, out=s), 1.0 - self.beta2, out=s)
+                np.multiply(np.divide(m, bc1, out=s), self.lr, out=s)
+                np.sqrt(np.divide(v, bc2, out=u), out=u)
+                u += self.eps
+                x -= np.divide(s, u, out=s)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}

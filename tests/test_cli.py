@@ -264,6 +264,31 @@ class TestConfigChecks:
         assert rc == 2
         assert "config error" in err and path[-1] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("arch, field, value", [
+        ("single_transformer", "train_max_len", 0), ("mlp", "train_max_len", -2),
+        ("mlp", "input_dim", 0), ("multi_transformer", "input_dim", -512),
+    ])
+    def test_modality_size_below_one_is_config_error(self, mean_data, tmp_path, capsys, arch, field, value):
+        cfg = small_train_config(tmp_path, arch=arch)
+        doc = json.load(open(cfg))
+        doc["model"]["modalities"][0][field] = value
+        json.dump(doc, open(cfg, "w"))
+        rc = main(["train", "--config", cfg, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"'clip' field '{field}' must be >= 1" in err and "Traceback" not in err
+
+    def test_modality_outside_the_schema_is_config_error(self, mean_data, tmp_path, capsys):
+        cfg = small_train_config(tmp_path)
+        doc = json.load(open(cfg))
+        doc["model"]["modalities"] = [{"name": "nope", "input_dim": 8, "train_max_len": 4}]
+        json.dump(doc, open(cfg, "w"))
+        rc = main(["train", "--config", cfg, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "'nope'" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x" / "best.bin")
+
     @pytest.mark.parametrize("flags", [["--max-steps", "0"], ["--epochs", "0"]])
     def test_run_without_steps_exits_zero(self, mean_data, tmp_path, capsys, flags):
         out = str(tmp_path / "x")
@@ -410,6 +435,28 @@ class TestEvalPredict:
         assert rc == 3
         assert "data error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value, named", [("name", "nope", "'nope'"),
+                                                   ("train_max_len", 0, "'train_max_len'")])
+    def test_checkpoint_modality_the_schema_refuses_is_data_error(self, mean_data, trained, tmp_path, capsys,
+                                                                  key, value, named):
+        stem = str(tmp_path / "ck")
+        shutil.copy(os.path.join(trained, "best.bin"), stem + ".bin")
+        doc = json.load(open(os.path.join(trained, "best.json")))
+        doc["config"]["modalities"][0][key] = value
+        json.dump(doc, open(stem + ".json", "w"))
+        rc = main(["eval", "--checkpoint", stem, "--data", mean_data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "data error" in err and named in err and "Traceback" not in err
+
+    def test_predict_on_an_empty_file_is_data_error(self, trained, tmp_path, capsys):
+        empty = tmp_path / "empty.mmf"
+        empty.write_bytes(b"")
+        rc = main(["predict", "--checkpoint", os.path.join(trained, "best"), "--input", str(empty)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "truncated while reading magic at byte 0" in err and "Traceback" not in err
+
     def test_missing_checkpoint_is_error(self, mean_data, tmp_path):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope"),
                    "--data", mean_data, "--out", str(tmp_path / "out")])
@@ -445,6 +492,17 @@ class TestFramesSweep:
         assert lines[0] == "frames,model,mAP"
         assert len(lines) == 1 + 2 * 2     # 2 frame counts x 2 models
         assert all(l.split(",")[1] in ("mlp", "single_transformer") for l in lines[1:])
+
+    def test_subsample_is_an_index_on_path_backed_records(self, order_data):
+        from genreclf.cli import _load_split_records, _subsample_clip
+        records = _load_split_records(order_data)[0]["train"]
+        sub = _subsample_clip(records, 4, seed=9)
+        for r, s in zip(records, sub):
+            assert s.features is None and s.path == r.path and s.id == r.id
+            clip = r.get_features()["clip"]
+            assert list(s.clip_frames) == sorted(set(s.clip_frames)) and len(s.clip_frames) == min(4, len(clip))
+            assert np.array_equal(s.get_features()["clip"], clip[s.clip_frames])
+        assert all(r.features is None and r.clip_frames is None for r in records)
 
     def test_default_frame_counts(self):
         from genreclf.cli import SWEEP_FRAME_COUNTS

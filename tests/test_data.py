@@ -295,6 +295,59 @@ class TestMmf:
             read_mmf(str(bad))
 
 
+    def test_empty_file_is_truncated_at_byte_0(self, tmp_path):
+        path = tmp_path / "empty.mmf"
+        path.write_bytes(b"")
+        with pytest.raises(MmfFormatError, match="truncated while reading magic at byte 0"):
+            read_mmf(str(path))
+
+
+class TestMappedRecords:
+    """Path-backed records read their .mmf anew on each access, as read-only
+    views of a mapping, and keep nothing between batches."""
+
+    def _on_disk(self, tmp_path, n=3):
+        rng = SeededRng(11)
+        records = []
+        for i in range(n):
+            mem = small_record(i, 4 + i, 2, rng)
+            path = str(tmp_path / f"{mem.id}.mmf")
+            write_mmf(mem.features, path)
+            records.append((mem, VideoRecord(mem.id, mem.duration_s, mem.genres, path=path)))
+        return records
+
+    def test_features_are_read_only_and_not_cached(self, tmp_path):
+        (mem, disk), = self._on_disk(tmp_path, 1)
+        feats = disk.get_features()
+        assert disk.features is None
+        for name, arr in feats.items():
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, mem.features[name])
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert disk.get_features()["clip"] is not feats["clip"]
+
+    def test_batch_keeps_its_values_when_the_file_is_replaced(self, tmp_path):
+        records = self._on_disk(tmp_path)
+        batch = make_batch([d for _, d in records], SMALL_SPECS, lengths="full")
+        before = {name: [h.copy() for h in heads] for name, heads in batch.heads.items()}
+        for mem, disk in records:
+            write_mmf({k: np.full_like(v, 7.0) for k, v in mem.features.items()}, disk.path)
+        for name, heads in batch.heads.items():
+            assert all(np.array_equal(h, b) for h, b in zip(heads, before[name]))
+        assert np.all(make_batch([records[0][1]], SMALL_SPECS).heads["clip"][0] == 7.0)
+
+    def test_clip_frames_select_rows_of_either_source(self, tmp_path):
+        (mem, disk), = self._on_disk(tmp_path, 1)
+        idx = np.array([0, 2, 3])
+        for r in (mem, disk):
+            r.clip_frames = idx
+            feats = r.get_features()
+            assert np.array_equal(feats["clip"], mem.features["clip"][idx])
+            assert feats["ocr"] is not None and np.array_equal(feats["ocr"], mem.features["ocr"])
+        assert mem.features["clip"].shape[0] == 4 and disk.features is None
+
+
 class TestNpyImport:
     def _setup(self, tmp_path, arrays, durations=None):
         src = tmp_path / "npy"

@@ -5,6 +5,7 @@ import genreclf.autograd as ag
 from genreclf.autograd import Tensor, no_grad
 from genreclf.gradcheck import grad_check
 from genreclf.nn import Linear, MultiHeadSelfAttention, ParameterStore, TransformerEncoderLayer
+from genreclf import optim
 from genreclf.optim import Adam, clip_global_norm
 from genreclf.rng import SeededRng
 
@@ -263,7 +264,69 @@ class TestAdam:
         assert opt2.t == 1
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_byte_equal_to_the_expression(self, dtype):
+        # the update written as one numpy expression per line, temporaries
+        # and all; the in-place blocked step must reproduce it bit for bit
+        def reference_step(p, g, m, v, t, lr=3e-3, b1=0.9, b2=0.999, eps=1e-8):
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+        shapes = {"big": (optim._BLOCK + 1234,), "w": (7, 5), "b": (3,), "s": ()}
+        store = ParameterStore(dtype=dtype)
+        for i, (name, shape) in enumerate(shapes.items()):
+            store.add(name, SeededRng(i).normal(shape))
+        ref = {name: [t.data.copy(), np.zeros(t.shape, dtype), np.zeros(t.shape, dtype)]
+               for name, t in store.items()}
+        opt = Adam(store, lr=3e-3)
+        assert opt._scratch.shape == (2, optim._BLOCK)
+        for step in range(1, 21):
+            for i, (name, t) in enumerate(store.items()):
+                g = SeededRng(100 * step + i).normal(t.shape).astype(dtype) * 10.0 ** (i - 2)
+                if step == 5:
+                    g = np.zeros(t.shape, dtype)
+                t.grad = g
+                reference_step(*ref[name][:1], g, *ref[name][1:], step)
+            opt.step()
+            for name, t in store.items():
+                p, m, v = ref[name]
+                assert t.data.dtype == dtype and opt.m[name].dtype == dtype
+                assert t.data.tobytes() == p.tobytes(), (step, name)
+                assert opt.m[name].tobytes() == m.tobytes() and opt.v[name].tobytes() == v.tobytes()
+
+    def test_step_updates_the_arrays_in_place(self):
+        store = ParameterStore(dtype=np.float32)
+        p = store.add("p", np.ones((4, 3)))
+        opt = Adam(store, lr=1e-2)
+        data, m, v = p.data, opt.m["p"], opt.v["p"]
+        p.grad = np.full((4, 3), 0.5, dtype=np.float32)
+        opt.step()
+        assert p.data is data and opt.m["p"] is m and opt.v["p"] is v
+        assert np.all(data < 1.0) and np.all(m > 0) and np.all(v > 0)
+
+    def test_non_contiguous_gradient_refused(self):
+        store = ParameterStore(dtype=np.float64)
+        p = store.add("p", np.zeros((3, 3)))
+        p.grad = np.ones((3, 3)).T.copy(order="F")
+        with pytest.raises(ValueError, match="C-contiguous"):
+            Adam(store, lr=0.1).step()
+
+
 class TestClipGlobalNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_byte_equal_to_the_expression(self, dtype):
+        gs = [SeededRng(s).normal(shape).astype(dtype) * 10.0 ** s
+              for s, shape in enumerate([(5,), (40, 30), (), (optim._BLOCK + 7,)])]
+        want = 0.0
+        for g in gs:
+            want += float(np.sum(g.astype(np.float64) ** 2))
+        want = float(np.sqrt(want))
+        assert clip_global_norm(gs, 1e30) == want
+
     def test_below_threshold_unchanged(self):
         g = [np.array([0.3, 0.4], dtype=np.float32)]
         norm = clip_global_norm(g, 1.0)

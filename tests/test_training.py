@@ -8,11 +8,11 @@ import genreclf.autograd as ag
 import genreclf.checkpoint as checkpoint
 import genreclf.training as training
 from genreclf.autograd import Tensor, backward, no_grad
-from genreclf.data import make_batch
+from genreclf.data import VideoRecord, make_batch
 from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.gradcheck import grad_check
 from genreclf.models import ARCHITECTURES, ModelConfig, build_model, predict_scores
-from genreclf.mmf import read_json
+from genreclf.mmf import read_json, write_mmf
 from genreclf.modalities import ModalitySpec
 from genreclf.rng import SeededRng
 from genreclf.synth import synth_mean_encoded
@@ -145,6 +145,20 @@ class TestTrainer:
         before = trainer.model.params.to_arrays()
         assert trainer.run().losses == [] and trainer.global_step == 0
         assert all(np.array_equal(v, trainer.model.params.to_arrays()[k]) for k, v in before.items())
+
+    def test_path_backed_records_keep_no_features(self, tmp_path):
+        records = []
+        for r in mean_records(12):
+            path = str(tmp_path / f"{r.id}.mmf")
+            write_mmf(r.features, path)
+            records.append(VideoRecord(r.id, r.duration_s, r.genres, path=path))
+        cfg = TrainConfig(model=small_config(), lr=1e-3, batch_size=4, epochs=2, eval_interval=2, seed=2,
+                          checkpoint_dir=str(tmp_path / "run"))
+        trainer = Trainer(cfg, records[:8], records[8:10])
+        trainer.run()
+        evaluate(trainer.model, records[10:])
+        assert len(trainer.history.evals) == 2   # 4 steps, validating every 2
+        assert all(r.features is None for r in records)
 
     def test_same_seed_identical_loss_curves(self):
         cfg = TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=7)

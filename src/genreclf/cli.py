@@ -34,6 +34,8 @@ EXIT_NUMERIC = 4
 
 
 def _write_run_manifest(out_dir: str, command: str, resolved: dict, seed: int):
+    """Write run_manifest.json as standard JSON: callers refuse non-finite
+    numbers first, so a NaN left here fails loudly instead of being written."""
     os.makedirs(out_dir, exist_ok=True)
     doc = {
         "command": command,
@@ -42,7 +44,7 @@ def _write_run_manifest(out_dir: str, command: str, resolved: dict, seed: int):
         "version": __version__,
         "resolved_config": resolved,
     }
-    write_atomic(os.path.join(out_dir, "run_manifest.json"), json.dumps(doc, indent=1).encode())
+    write_atomic(os.path.join(out_dir, "run_manifest.json"), json.dumps(doc, indent=1, allow_nan=False).encode())
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -67,6 +69,7 @@ def _load_train_config(args) -> TrainConfig:
         cfg.batch_size = args.batch_size
     if args.eval_interval is not None:
         cfg.eval_interval = args.eval_interval
+    cfg.check()
     return cfg
 
 
@@ -142,14 +145,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_threshold(threshold):
+    if threshold is not None and not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"--threshold must be in [0, 1], got {threshold!r}")
+
+
 def cmd_eval(args) -> int:
+    _check_threshold(args.threshold)
     model = load_checkpoint(args.checkpoint)
     splits, _ = _load_split_records(args.data)
     records = splits[args.split]
     if not records:
         raise DataError(f"split {args.split!r} is empty")
     report = evaluate(model, records, threshold=args.threshold)
-    os.makedirs(args.out, exist_ok=True)
     _write_run_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "split": args.split,
                                            "threshold": args.threshold}, args.seed or 0)
     write_atomic(os.path.join(args.out, "report.csv"), to_csv(report).encode())
@@ -160,6 +168,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_threshold(args.threshold)
     model = load_checkpoint(args.checkpoint)
     from .mmf import read_mmf
     features = read_mmf(args.input)
@@ -211,11 +220,12 @@ def cmd_ablate(args) -> int:
     splits, _ = _load_split_records(args.data)
     os.makedirs(args.out, exist_ok=True)
     _write_run_manifest(args.out, "ablate", base.to_dict(), base.seed)
+    configured = {s.name: s for s in base.model.modalities}
     jobs = []
     for i, row in enumerate(ABLATION_ROWS):
-        model_cfg = dataclasses.replace(
-            base.model,
-            modalities=default_modalities(row["modalities"], row["averaged"]))
+        modalities = tuple(dataclasses.replace(configured.get(s.name, s), temporal_average=s.name in row["averaged"])
+                           for s in default_modalities(row["modalities"]))
+        model_cfg = dataclasses.replace(base.model, modalities=modalities)
         cfg = dataclasses.replace(base, model=model_cfg, seed=derive_seed(base.seed, "ablate", i),
                                   checkpoint_dir=None)
         jobs.append((_row_label(row), cfg, splits))
@@ -236,11 +246,11 @@ def _subsample_clip(records, n_frames: int, seed: int):
     new records carry the chosen frame index, not the frames."""
     out = []
     for rec in records:
-        clip = rec.get_features().get("clip")
+        clip = rec.get_shapes().get("clip")
         if clip is None:
             raise DataError(f"record {rec.id} has no clip features")
         rng = SeededRng(derive_seed(seed, "frames", rec.id))
-        out.append(dataclasses.replace(rec, clip_frames=rng.subsample_sorted(clip.shape[0], n_frames)))
+        out.append(dataclasses.replace(rec, clip_frames=rng.subsample_sorted(clip[0], n_frames)))
     return out
 
 

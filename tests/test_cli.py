@@ -457,6 +457,32 @@ class TestEvalPredict:
         assert rc == 3
         assert "truncated while reading magic at byte 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ("eval", "predict"))
+    @pytest.mark.parametrize("threshold", ("nan", "inf", "-0.1", "1.5"))
+    def test_threshold_outside_the_unit_interval_is_config_error(self, mean_data, trained, tmp_path, capsys,
+                                                                 command, threshold):
+        out = tmp_path / "out"
+        where = (["--data", mean_data, "--out", str(out)] if command == "eval"
+                 else ["--input", os.path.join(mean_data, "synth000000.mmf")])
+        rc = main([command, "--checkpoint", os.path.join(trained, "best"), "--threshold", threshold] + where)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "threshold" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_manifest_refuses_a_non_finite_number(self, tmp_path):
+        from genreclf.cli import _write_run_manifest
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_run_manifest(str(tmp_path), "eval", {"threshold": float("nan")}, 0)
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("threshold", ("0", "1"))
+    def test_threshold_at_the_ends_of_the_interval_is_taken(self, mean_data, trained, tmp_path, threshold):
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", os.path.join(trained, "best"), "--threshold", threshold,
+                     "--data", mean_data, "--out", str(out)]) == 0
+        assert json.load(open(out / "run_manifest.json"))["resolved_config"]["threshold"] == float(threshold)
+
     def test_missing_checkpoint_is_error(self, mean_data, tmp_path):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope"),
                    "--data", mean_data, "--out", str(tmp_path / "out")])
@@ -474,6 +500,26 @@ class TestAblate:
         assert rows == ["clip", "clip+musicnet", "clip+musicnet+audiotag",
                         "clip+musicnet+audiotag+ocr", "clip+musicnet+audiotag+ocr*",
                         "clip+musicnet+audiotag+ocr+asr", "clip+musicnet+audiotag+ocr*+asr*"]
+
+    def test_rows_keep_the_configured_modality_specs(self, order_data, tmp_path, monkeypatch):
+        import genreclf.cli as cli
+        from genreclf.modalities import SPEC_BY_NAME
+        seen = []
+        real = cli._train_eval_once
+        monkeypatch.setattr(cli, "_train_eval_once", lambda cfg, splits: seen.append(cfg.model) or real(cfg, splits))
+        mods = [{"name": "clip", "input_dim": 16, "train_max_len": 12, "temporal_average": True}]
+        doc = {"model": {"architecture": "multi_transformer", "model_dim": 8, "num_layers": 1, "num_heads": 2,
+                         "modalities": mods}, "lr": 1e-3, "batch_size": 4, "max_steps": 1, "seed": 5}
+        cfg = str(tmp_path / "cfg.json")
+        json.dump(doc, open(cfg, "w"))
+        assert main(["ablate", "--config", cfg, "--data", order_data, "--out", str(tmp_path / "ablate")]) == 0
+        sizes = {name: (s.input_dim, s.train_max_len) for name, s in SPEC_BY_NAME.items()} | {"clip": (16, 12)}
+        assert len(seen) == len(cli.ABLATION_ROWS)
+        for model, row in zip(seen, cli.ABLATION_ROWS):
+            assert [s.name for s in model.modalities] == [n for n in SPEC_BY_NAME if n in row["modalities"]]
+            for s in model.modalities:
+                assert (s.input_dim, s.train_max_len) == sizes[s.name]
+                assert s.temporal_average == (s.name in row["averaged"])
 
 
 class TestFramesSweep:

@@ -257,7 +257,7 @@ class TestPaddingOnDemand:
         trainer = Trainer(config, records[:5], records[5:])
         trainer.run()
         evaluate(trainer.model, records)
-        assert len(batches) == 2 + 2 * 2 + 7
+        assert len(batches) == 2 + 2 * 1 + 1
         assert not any("_padded" in b.__dict__ for b in batches)
 
     @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))

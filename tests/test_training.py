@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genreclf.autograd as ag
 import genreclf.checkpoint as checkpoint
@@ -11,6 +12,7 @@ from genreclf.autograd import Tensor, backward, no_grad
 from genreclf.data import VideoRecord, make_batch
 from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.gradcheck import grad_check
+from genreclf.metrics import compute_report, to_csv
 from genreclf.models import ARCHITECTURES, ModelConfig, build_model, predict_scores
 from genreclf.mmf import read_json, write_mmf
 from genreclf.modalities import ModalitySpec
@@ -420,6 +422,147 @@ class TestEvaluate:
         after = model.params.to_arrays()
         for k in before:
             assert np.array_equal(before[k], after[k])
+
+
+def sized_records(rows, seed):
+    """One SMALL_SPECS record per (clip rows, audiotag rows) pair."""
+    rng = SeededRng(seed)
+    records = []
+    for i, counts in enumerate(rows):
+        genres = tuple(g for g in ("Action", "Drama", "Horror") if rng.uniform(()) < 0.5) or ("Comedy",)
+        feats = {s.name: rng.normal((t, s.input_dim)).astype(np.float32) for s, t in zip(SMALL_SPECS, counts)}
+        records.append(VideoRecord(id=f"b{i:03d}", duration_s=60.0, genres=genres, features=feats))
+    return records
+
+
+def random_rows(n, seed):
+    """Rows from none to past each positional table (clip 8, audiotag 5):
+    the first record's audiotag stream is empty, the last one's clip stream
+    longer than its table."""
+    rng = SeededRng(seed)
+    rows = [(int(rng.randint(0, 12)), int(rng.randint(0, 8))) for _ in range(n)]
+    rows[0], rows[-1] = (rows[0][0], 0), (11, rows[-1][1])
+    return rows
+
+
+def evaluated(model, records, monkeypatch):
+    """``evaluate``'s report and the score matrix it was computed from."""
+    seen = []
+    real = training.compute_report
+    monkeypatch.setattr(training, "compute_report", lambda s, t, th: seen.append(s.copy()) or real(s, t, th))
+    report = evaluate(model, records)
+    return report, seen[-1]
+
+
+def one_by_one(model, records):
+    """Per-record scores at full duration: what ``evaluate`` scored before buckets."""
+    return np.concatenate([predict_scores(model, make_batch([r], model.config.modalities, lengths="full"))
+                           for r in records]).astype(np.float64)
+
+
+def fused_tokens(record, specs):
+    feats = record.get_features()
+    return sum(min(len(feats[s.name]), s.train_max_len) for s in specs if s.name in feats)
+
+
+def sorted_ids(records, specs):
+    """Record ids by fused token count, then input position."""
+    order = sorted(range(len(records)), key=lambda i: (fused_tokens(records[i], specs), i))
+    return [records[i].id for i in order]
+
+
+def spy_buckets(monkeypatch):
+    """The record ids of every batch the training module makes; each must be full length."""
+    buckets = []
+    real = training.make_batch
+
+    def spy(records, specs, lengths):
+        assert lengths == "full"
+        buckets.append([r.id for r in records])
+        return real(records, specs, lengths=lengths)
+    monkeypatch.setattr(training, "make_batch", spy)
+    return buckets
+
+
+BUCKET_MODELS = [("mlp", ()), ("single_transformer", ()), ("single_transformer", ("audiotag",)),
+                 ("multi_transformer", ()), ("multi_transformer", ("audiotag",))]
+
+
+def bucket_config(arch, averaged=()):
+    mods = tuple(ModalitySpec(s.name, s.input_dim, s.train_max_len, s.name in averaged) for s in SMALL_SPECS)
+    return small_config(arch, modalities=mods, **({} if arch == "mlp" else {"num_layers": 2}))
+
+
+class TestBucketedEvaluate:
+    """``evaluate`` scores length-sorted buckets of EVAL_BATCH records."""
+
+    def test_bucket_size_is_the_paper_batch(self):
+        assert training.EVAL_BATCH == 32
+
+    @pytest.mark.parametrize("n", (1, 31, 32, 33, 65))
+    @pytest.mark.parametrize("arch, averaged", BUCKET_MODELS)
+    def test_float64_bit_identical_to_one_record_at_a_time(self, arch, averaged, n, monkeypatch):
+        model = build_model(bucket_config(arch, averaged), seed=n, dtype=np.float64)
+        records = sized_records(random_rows(n, seed=n), seed=n + 1)
+        report, scores = evaluated(model, records, monkeypatch)
+        want = one_by_one(model, records)
+        assert scores.tobytes() == want.tobytes()
+        targets = np.stack([label_vector(r.genres) for r in records])
+        assert to_csv(report) == to_csv(compute_report(want, targets, model.config.threshold))
+
+    @pytest.mark.parametrize("arch, averaged", BUCKET_MODELS)
+    def test_float32_within_criterion_6(self, arch, averaged, monkeypatch):
+        model = build_model(bucket_config(arch, averaged), seed=5)
+        records = sized_records(random_rows(65, seed=6), seed=7)
+        _, scores = evaluated(model, records, monkeypatch)
+        assert np.abs(scores - one_by_one(model, records)).max() <= 1e-5
+
+    def test_two_calls_give_byte_identical_reports(self):
+        model = build_model(bucket_config("single_transformer", ("audiotag",)), seed=8)
+        records = sized_records(random_rows(40, seed=9), seed=10)
+        assert to_csv(evaluate(model, records)) == to_csv(evaluate(model, records))
+
+    def test_buckets_follow_fused_tokens_then_input_order(self, monkeypatch):
+        buckets = spy_buckets(monkeypatch)
+        model = build_model(bucket_config("multi_transformer"), seed=11)
+        records = sized_records(random_rows(70, seed=12), seed=13)
+        evaluate(model, records)
+        assert [len(ids) for ids in buckets] == [32, 32, 6]
+        assert sum(buckets, []) == sorted_ids(records, SMALL_SPECS)
+
+    def test_path_backed_and_clip_frames_records(self, tmp_path, monkeypatch):
+        import genreclf.data as data
+        records = sized_records(random_rows(40, seed=14), seed=15)
+        for i, r in enumerate(records):
+            if i % 3:
+                path = str(tmp_path / f"{r.id}.mmf")
+                write_mmf(r.features, path)
+                records[i] = VideoRecord(r.id, r.duration_s, r.genres, path=path)
+            if i % 4 == 0:
+                records[i].clip_frames = np.arange(0, len(r.features["clip"]), 2)
+        want = sorted_ids(records, SMALL_SPECS)
+        buckets, mapped = spy_buckets(monkeypatch), []
+        real = data.read_mmf
+        monkeypatch.setattr(data, "read_mmf", lambda path: mapped.append(path) or real(path))
+        for arch, averaged in BUCKET_MODELS:
+            model = build_model(bucket_config(arch, averaged), seed=16, dtype=np.float64)
+            buckets.clear()
+            mapped.clear()
+            _, scores = evaluated(model, records, monkeypatch)
+            assert sum(buckets, []) == want
+            assert sorted(mapped) == sorted(r.path for r in records if r.path)   # each file mapped once
+            assert scores.tobytes() == one_by_one(model, records).tobytes()
+        assert all(r.features is None for r in records if r.path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(arch=st.sampled_from(BUCKET_MODELS),
+           rows=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8)), min_size=1, max_size=70))
+    def test_float64_bit_identical_for_any_lengths(self, arch, rows):
+        model = build_model(bucket_config(*arch), seed=len(rows), dtype=np.float64)
+        records = sized_records(rows, seed=17)
+        want = one_by_one(model, records)
+        targets = np.stack([label_vector(r.genres) for r in records])
+        assert to_csv(evaluate(model, records)) == to_csv(compute_report(want, targets, model.config.threshold))
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)

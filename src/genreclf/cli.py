@@ -246,11 +246,11 @@ def _subsample_clip(records, n_frames: int, seed: int):
     new records carry the chosen frame index, not the frames."""
     out = []
     for rec in records:
-        clip = rec.get_shapes().get("clip")
+        clip = rec.get_features().get("clip")
         if clip is None:
             raise DataError(f"record {rec.id} has no clip features")
         rng = SeededRng(derive_seed(seed, "frames", rec.id))
-        out.append(dataclasses.replace(rec, clip_frames=rng.subsample_sorted(clip[0], n_frames)))
+        out.append(dataclasses.replace(rec, clip_frames=rng.subsample_sorted(clip.shape[0], n_frames)))
     return out
 
 

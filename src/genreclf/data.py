@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .mmf import read_json, read_mmf, read_shapes, write_atomic
+from .mmf import read_json, read_mmf, write_atomic
 from .vocab import GENRES, label_vector
 
 DURATION_LO = 19.6
@@ -36,19 +36,6 @@ class VideoRecord:
         if self.clip_frames is not None:
             features = {**features, "clip": features["clip"][self.clip_frames]}
         return features
-
-    def get_shapes(self) -> dict[str, tuple]:
-        """The shapes ``get_features`` would give, from the arrays or the
-        .mmf headers, without mapping any feature data."""
-        if self.features is not None:
-            shapes = {name: np.shape(seq) for name, seq in self.features.items()}
-        elif self.path is None:
-            raise DataError(f"record {self.id} has neither features nor a path")
-        else:
-            shapes = read_shapes(self.path)
-        if self.clip_frames is not None:
-            shapes["clip"] = (len(self.clip_frames),) + tuple(shapes["clip"][1:])
-        return shapes
 
 
 @dataclass

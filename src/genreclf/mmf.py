@@ -78,48 +78,6 @@ def read_json(path: str):
         return json.load(fh, parse_constant=reject)
 
 
-def _parse_header(path: str, size: int, read) -> list[tuple[str, int, int, int]]:
-    """Walk the header chain of a ``size``-byte .mmf whose bytes
-    ``read(offset, n)`` returns, skipping the data, and check its structure.
-    -> [(name, T, D, data offset)] in file order."""
-    def need(offset, n, what):
-        if offset + n > size:
-            raise MmfFormatError(f"{path}: truncated while reading {what} at byte {offset}")
-        return offset + n
-
-    pos = need(0, 4, "magic")
-    magic = read(0, 4)
-    if magic != MAGIC:
-        raise MmfFormatError(f"{path}: bad magic {magic!r} at byte 0")
-    end = need(pos, 4, "header")
-    version, count = struct.unpack("<HH", read(pos, 4))
-    pos = end
-    if version != FORMAT_VERSION:
-        raise MmfFormatError(f"{path}: unsupported format version {version} at byte 4")
-    entries = []
-    prev_name = None
-    for _ in range(count):
-        pos = need(pos, 1, "name length")
-        nlen = read(pos - 1, 1)[0]
-        end = need(pos, nlen, "modality name")
-        raw = read(pos, nlen + 8)   # the name and, when the file holds it, the shape after it
-        try:
-            name = raw[:nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise MmfFormatError(f"{path}: modality name is not valid UTF-8 at byte {pos}") from None
-        pos = end
-        if prev_name is not None and name <= prev_name:
-            raise MmfFormatError(f"{path}: modalities not sorted ascending ({prev_name!r} then {name!r}) at byte {pos}")
-        prev_name = name
-        pos = need(pos, 8, "shape")
-        t, d = struct.unpack_from("<II", raw, nlen)
-        entries.append((name, t, d, pos))
-        pos = need(pos, t * d * 4, f"{name} data")
-    if pos != size:
-        raise MmfFormatError(f"{path}: {size - pos} trailing bytes at byte {pos}")
-    return entries
-
-
 def read_mmf(path: str) -> dict[str, np.ndarray]:
     """Read a .mmf file into a modality -> float32 array mapping of read-only
     views of the mapped file, which stays mapped while any view lives.
@@ -130,20 +88,45 @@ def read_mmf(path: str) -> dict[str, np.ndarray]:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except ValueError:   # an empty file cannot be mapped; it is truncated at byte 0
             buf = b""
-    entries = _parse_header(path, len(buf), lambda offset, n: buf[offset:offset + n])
-    return {name: np.frombuffer(buf, dtype="<f4", count=t * d, offset=offset).reshape(t, d)
-            for name, t, d, offset in entries}
 
+    def need(offset, n, what):
+        if offset + n > len(buf):
+            raise MmfFormatError(f"{path}: truncated while reading {what} at byte {offset}")
+        return offset + n
 
-def read_shapes(path: str) -> dict[str, tuple[int, int]]:
-    """The modality -> (T, D) shapes of a .mmf file, read from its headers
-    alone with ``os.pread``; a malformed file raises what ``read_mmf`` raises."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        entries = _parse_header(path, os.fstat(fd).st_size, lambda offset, n: os.pread(fd, n, offset))
-    finally:
-        os.close(fd)
-    return {name: (t, d) for name, t, d, _ in entries}
+    pos = need(0, 4, "magic")
+    if buf[:4] != MAGIC:
+        raise MmfFormatError(f"{path}: bad magic {buf[:4]!r} at byte 0")
+    end = need(pos, 4, "header")
+    version, count = struct.unpack_from("<HH", buf, pos)
+    pos = end
+    if version != FORMAT_VERSION:
+        raise MmfFormatError(f"{path}: unsupported format version {version} at byte 4")
+    features = {}
+    prev_name = None
+    for _ in range(count):
+        end = need(pos, 1, "name length")
+        (nlen,) = struct.unpack_from("<B", buf, pos)
+        pos = end
+        end = need(pos, nlen, "modality name")
+        try:
+            name = buf[pos:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MmfFormatError(f"{path}: modality name is not valid UTF-8 at byte {pos}") from None
+        pos = end
+        if prev_name is not None and name <= prev_name:
+            raise MmfFormatError(f"{path}: modalities not sorted ascending ({prev_name!r} then {name!r}) at byte {pos}")
+        prev_name = name
+        end = need(pos, 8, "shape")
+        t, d = struct.unpack_from("<II", buf, pos)
+        pos = end
+        nbytes = t * d * 4
+        end = need(pos, nbytes, f"{name} data")
+        features[name] = np.frombuffer(buf, dtype="<f4", count=t * d, offset=pos).reshape(t, d)
+        pos = end
+    if pos != len(buf):
+        raise MmfFormatError(f"{path}: {len(buf) - pos} trailing bytes at byte {pos}")
+    return features
 
 
 # -- NPY import -----------------------------------------------------------

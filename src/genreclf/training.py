@@ -23,7 +23,7 @@ from .rng import SeededRng, derive_seed
 from .vocab import NUM_GENRES, label_vector
 
 TRAINER_STATE_VERSION = 2
-EVAL_BATCH = 32   # records per scoring forward in ``evaluate``: the paper's batch size
+EVAL_BATCH = 32   # records per scoring forward in ``evaluate`` when no stream is padded: the paper's batch size
 
 
 def weighted_bce(logits: Tensor, targets: np.ndarray, positive_weight: float = 1.0) -> Tensor:
@@ -105,32 +105,34 @@ class TrainHistory:
         return buf.getvalue()
 
 
-def _fused_tokens(record, specs) -> int:
-    """Tokens the model takes from ``record``: each modality's rows up to its
-    train_max_len, summed. Lengths come from shapes; no feature is read."""
-    shapes = record.get_shapes()
-    return sum(min(shapes[s.name][0], s.train_max_len) for s in specs if s.name in shapes)
+def _eval_bucket(config: ModelConfig) -> int:
+    """Records per scoring forward in ``evaluate``: EVAL_BATCH when the model
+    reads no padded token stream (the mlp, or every stream averaged), else
+    one, since a padded bucket of long token streams multiplies peak memory
+    without scoring faster."""
+    if config.architecture == "mlp" or all(s.temporal_average for s in config.modalities):
+        return EVAL_BATCH
+    return 1
 
 
 def evaluate(model, records, threshold: float = None) -> MetricsReport:
     """Score records at full duration and build a MetricsReport. Leaves
     model parameters untouched.
 
-    Records are sorted by fused token count (ties keep input order) and the
-    sorted list is cut into buckets of EVAL_BATCH; each bucket is one padded
-    batch and one forward. Float64 scores equal one-record scores bit for
-    bit; float32 scores may differ from them in the last bits.
+    Consecutive buckets of ``_eval_bucket`` records are scored with one
+    batch and one forward each. Float64 scores equal one-record scores bit
+    for bit; float32 scores may differ from them in the last bits.
     """
     if not records:
         raise DataError("evaluate needs at least one record")
     if threshold is None:
         threshold = model.config.threshold
     specs = model.config.modalities
-    order = sorted(range(len(records)), key=lambda i: _fused_tokens(records[i], specs))
+    size = _eval_bucket(model.config)
     scores = np.zeros((len(records), NUM_GENRES), dtype=np.float64)
-    for start in range(0, len(order), EVAL_BATCH):
-        bucket = order[start:start + EVAL_BATCH]
-        scores[bucket] = predict_scores(model, make_batch([records[i] for i in bucket], specs, lengths="full"))
+    for start in range(0, len(records), size):
+        scores[start:start + size] = predict_scores(model, make_batch(records[start:start + size], specs,
+                                                                      lengths="full"))
     targets = np.stack([label_vector(r.genres) for r in records])
     return compute_report(scores, targets, threshold)
 

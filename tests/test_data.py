@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from genreclf.data import (VideoRecord, filter_by_duration, load_manifest, make_batch,
                            split_dataset, temporal_average, write_manifest)
 from genreclf.errors import DataError, MmfFormatError
-from genreclf.mmf import import_npy, read_mmf, read_shapes, write_mmf
+from genreclf.mmf import import_npy, read_mmf, write_mmf
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec, default_modalities
 from genreclf.rng import SeededRng
 from genreclf.vocab import GENRES
@@ -300,39 +300,6 @@ class TestMmf:
         path.write_bytes(b"")
         with pytest.raises(MmfFormatError, match="truncated while reading magic at byte 0"):
             read_mmf(str(path))
-
-    @settings(max_examples=100, deadline=None)
-    @given(feats=st.dictionaries(st.sampled_from(("asr", "clip", "ocr", "x" * 255)),
-                                 st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=4))
-    def test_read_shapes_equals_the_read_mmf_shapes(self, feats, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("shapes") / "s.mmf")
-        write_mmf({k: np.ones(shape, dtype=np.float32) for k, shape in feats.items()}, path)
-        assert read_shapes(path) == {k: v.shape for k, v in read_mmf(path).items()} == feats
-
-    @staticmethod
-    def _shapes_or_error(read_shapes, path):
-        try:
-            return read_shapes(path)
-        except MmfFormatError as exc:
-            return str(exc)
-
-    @settings(max_examples=300, deadline=None)
-    @given(cut=st.integers(0, 80), edits=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)), max_size=3))
-    @example(cut=80, edits=[(9, 0xFF)])      # a name that is not UTF-8
-    @example(cut=80, edits=[(12, 0x7F)])     # a shape far past the end
-    @example(cut=80, edits=[(9, ord("z"))])  # the modalities out of order
-    @example(cut=80, edits=[(4, 2)])         # an unknown format version
-    def test_read_shapes_fails_as_read_mmf_does(self, cut, edits, tmp_path_factory):
-        # 8 header bytes, asr (2, 2) at bytes 8-35, clip (3, 2) at 36-72, then 4 trailing bytes
-        path = tmp_path_factory.mktemp("garbled") / "g.mmf"
-        write_mmf({"asr": np.ones((2, 2), dtype=np.float32), "clip": np.zeros((3, 2), dtype=np.float32)}, str(path))
-        blob = bytearray(path.read_bytes() + b"tail")[:cut]
-        for pos, value in edits:
-            if pos < len(blob):
-                blob[pos] = value
-        path.write_bytes(bytes(blob))
-        mapped = self._shapes_or_error(lambda p: {k: v.shape for k, v in read_mmf(p).items()}, str(path))
-        assert self._shapes_or_error(read_shapes, str(path)) == mapped
 
 
 class TestMappedRecords:

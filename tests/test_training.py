@@ -460,17 +460,6 @@ def one_by_one(model, records):
                            for r in records]).astype(np.float64)
 
 
-def fused_tokens(record, specs):
-    feats = record.get_features()
-    return sum(min(len(feats[s.name]), s.train_max_len) for s in specs if s.name in feats)
-
-
-def sorted_ids(records, specs):
-    """Record ids by fused token count, then input position."""
-    order = sorted(range(len(records)), key=lambda i: (fused_tokens(records[i], specs), i))
-    return [records[i].id for i in order]
-
-
 def spy_buckets(monkeypatch):
     """The record ids of every batch the training module makes; each must be full length."""
     buckets = []
@@ -485,7 +474,8 @@ def spy_buckets(monkeypatch):
 
 
 BUCKET_MODELS = [("mlp", ()), ("single_transformer", ()), ("single_transformer", ("audiotag",)),
-                 ("multi_transformer", ()), ("multi_transformer", ("audiotag",))]
+                 ("single_transformer", ("clip", "audiotag")), ("multi_transformer", ()),
+                 ("multi_transformer", ("audiotag",)), ("multi_transformer", ("clip", "audiotag"))]
 
 
 def bucket_config(arch, averaged=()):
@@ -494,10 +484,22 @@ def bucket_config(arch, averaged=()):
 
 
 class TestBucketedEvaluate:
-    """``evaluate`` scores length-sorted buckets of EVAL_BATCH records."""
+    """``evaluate`` scores consecutive buckets of EVAL_BATCH records when no
+    stream is padded, and one record at a time otherwise."""
 
     def test_bucket_size_is_the_paper_batch(self):
         assert training.EVAL_BATCH == 32
+
+    @pytest.mark.parametrize("arch, averaged, size", [
+        ("mlp", (), 32), ("single_transformer", ("clip", "audiotag"), 32),
+        ("multi_transformer", ("clip", "audiotag"), 32), ("single_transformer", (), 1), ("single_transformer", ("audiotag",), 1), ("multi_transformer", ("clip",), 1)])
+    def test_only_models_without_token_streams_score_in_buckets(self, arch, averaged, size, monkeypatch):
+        buckets = spy_buckets(monkeypatch)
+        model = build_model(bucket_config(arch, averaged), seed=11)
+        records = sized_records(random_rows(70, seed=12), seed=13)
+        evaluate(model, records)
+        ids = [r.id for r in records]
+        assert buckets == [ids[i:i + size] for i in range(0, 70, size)]
 
     @pytest.mark.parametrize("n", (1, 31, 32, 33, 65))
     @pytest.mark.parametrize("arch, averaged", BUCKET_MODELS)
@@ -517,18 +519,11 @@ class TestBucketedEvaluate:
         _, scores = evaluated(model, records, monkeypatch)
         assert np.abs(scores - one_by_one(model, records)).max() <= 1e-5
 
-    def test_two_calls_give_byte_identical_reports(self):
-        model = build_model(bucket_config("single_transformer", ("audiotag",)), seed=8)
+    @pytest.mark.parametrize("arch, averaged", BUCKET_MODELS)
+    def test_two_calls_give_byte_identical_reports(self, arch, averaged):
+        model = build_model(bucket_config(arch, averaged), seed=8)
         records = sized_records(random_rows(40, seed=9), seed=10)
         assert to_csv(evaluate(model, records)) == to_csv(evaluate(model, records))
-
-    def test_buckets_follow_fused_tokens_then_input_order(self, monkeypatch):
-        buckets = spy_buckets(monkeypatch)
-        model = build_model(bucket_config("multi_transformer"), seed=11)
-        records = sized_records(random_rows(70, seed=12), seed=13)
-        evaluate(model, records)
-        assert [len(ids) for ids in buckets] == [32, 32, 6]
-        assert sum(buckets, []) == sorted_ids(records, SMALL_SPECS)
 
     def test_path_backed_and_clip_frames_records(self, tmp_path, monkeypatch):
         import genreclf.data as data
@@ -540,7 +535,6 @@ class TestBucketedEvaluate:
                 records[i] = VideoRecord(r.id, r.duration_s, r.genres, path=path)
             if i % 4 == 0:
                 records[i].clip_frames = np.arange(0, len(r.features["clip"]), 2)
-        want = sorted_ids(records, SMALL_SPECS)
         buckets, mapped = spy_buckets(monkeypatch), []
         real = data.read_mmf
         monkeypatch.setattr(data, "read_mmf", lambda path: mapped.append(path) or real(path))
@@ -549,10 +543,17 @@ class TestBucketedEvaluate:
             buckets.clear()
             mapped.clear()
             _, scores = evaluated(model, records, monkeypatch)
-            assert sum(buckets, []) == want
+            assert sum(buckets, []) == [r.id for r in records]
             assert sorted(mapped) == sorted(r.path for r in records if r.path)   # each file mapped once
             assert scores.tobytes() == one_by_one(model, records).tobytes()
         assert all(r.features is None for r in records if r.path)
+
+    @pytest.mark.parametrize("arch, averaged", BUCKET_MODELS)
+    def test_a_feature_that_is_not_a_table_is_data_error(self, arch, averaged):
+        records = sized_records(random_rows(3, seed=18), seed=19)
+        records[1].features["clip"] = np.float32(1.0)
+        with pytest.raises(DataError, match="incompatible with input_dim"):
+            evaluate(build_model(bucket_config(arch, averaged), seed=20), records)
 
     @settings(max_examples=25, deadline=None)
     @given(arch=st.sampled_from(BUCKET_MODELS),

@@ -95,8 +95,5 @@ def load_checkpoint(stem: str):
     stored in ``<stem>.bin``."""
     config, arrays = read_checkpoint(stem)
     model = build_model(config, seed=0)
-    try:
-        model.params.load_arrays(arrays)
-    except ValueError as exc:
-        raise DataError(f"{stem}: {exc}")
+    model.params.load_arrays(arrays)
     return model

@@ -57,18 +57,8 @@ def _load_train_config(args) -> TrainConfig:
         cfg = TrainConfig(model=model)
     else:
         raise ConfigError("provide --config JSON or --preset")
-    if args.seed is not None:
-        cfg.seed = args.seed  # --seed wins over the config file
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.max_steps is not None:
-        cfg.max_steps = args.max_steps
-    if args.lr is not None:
-        cfg.lr = args.lr
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    if args.eval_interval is not None:
-        cfg.eval_interval = args.eval_interval
+    flags = {k: getattr(args, k) for k in ("seed", "epochs", "max_steps", "lr", "batch_size", "eval_interval")}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})  # flags win over the file
     cfg.check()
     return cfg
 
@@ -103,6 +93,8 @@ def cmd_import(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = args.seed or 0
+    if args.n < 1 or not 0 <= args.noise_std < np.inf:
+        raise ConfigError(f"--n must be >= 1 and --noise-std finite and >= 0, got {args.n} and {args.noise_std}")
     if args.kind == "mean":
         records = synth_mean_encoded(args.n, seed, noise_std=args.noise_std)
     elif args.kind == "order":
@@ -145,21 +137,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_threshold(threshold):
-    if threshold is not None and not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"--threshold must be in [0, 1], got {threshold!r}")
+def _load_model(args):
+    """The checkpoint's model; ``--threshold``, if given, replaces its
+    config's threshold, so the one range check of ModelConfig applies."""
+    model = load_checkpoint(args.checkpoint)
+    if args.threshold is not None:
+        model.config = dataclasses.replace(model.config, threshold=args.threshold)
+    return model
 
 
 def cmd_eval(args) -> int:
-    _check_threshold(args.threshold)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_model(args)
     splits, _ = _load_split_records(args.data)
     records = splits[args.split]
     if not records:
         raise DataError(f"split {args.split!r} is empty")
-    report = evaluate(model, records, threshold=args.threshold)
+    report = evaluate(model, records)
     _write_run_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "split": args.split,
-                                           "threshold": args.threshold}, args.seed or 0)
+                                           "threshold": model.config.threshold}, args.seed or 0)
     write_atomic(os.path.join(args.out, "report.csv"), to_csv(report).encode())
     text = format_table(report)
     write_atomic(os.path.join(args.out, "report.txt"), (text + "\n").encode())
@@ -168,13 +163,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_threshold(args.threshold)
-    model = load_checkpoint(args.checkpoint)
-    from .mmf import read_mmf
-    features = read_mmf(args.input)
-    record = VideoRecord(id=os.path.basename(args.input), duration_s=None, genres=(),
-                         features=features)
-    probs, decisions = predict(model, record, threshold=args.threshold)
+    model = _load_model(args)
+    record = VideoRecord(id=os.path.basename(args.input), duration_s=None, genres=(), path=args.input)
+    probs, decisions = predict(model, record)
     for g, p, d in zip(GENRES, probs, decisions):
         marker = "*" if d else " "
         print(f"{marker} {g:<12} {p:.4f}")
@@ -210,7 +201,7 @@ def _run_rows(jobs, threads: int):
     if threads <= 1:
         return [(key, _train_eval_once(cfg, splits)) for key, cfg, splits in jobs]
     import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         futures = [(key, pool.submit(_train_eval_once, cfg, splits)) for key, cfg, splits in jobs]
         return [(key, f.result()) for key, f in futures]
 
@@ -218,7 +209,6 @@ def _run_rows(jobs, threads: int):
 def cmd_ablate(args) -> int:
     base = _load_train_config(args)
     splits, _ = _load_split_records(args.data)
-    os.makedirs(args.out, exist_ok=True)
     _write_run_manifest(args.out, "ablate", base.to_dict(), base.seed)
     configured = {s.name: s for s in base.model.modalities}
     jobs = []
@@ -257,10 +247,12 @@ def _subsample_clip(records, n_frames: int, seed: int):
 def cmd_frames_sweep(args) -> int:
     base = _load_train_config(args)
     splits, _ = _load_split_records(args.data)
-    frame_counts = tuple(int(x) for x in args.frames.split(",")) if args.frames else SWEEP_FRAME_COUNTS
+    frames = args.frames.split(",") if args.frames else SWEEP_FRAME_COUNTS
+    if not all(str(x).strip().isdecimal() and int(x) >= 1 for x in frames):
+        raise ConfigError(f"--frames must be comma-separated integers >= 1, got {args.frames!r}")
+    frame_counts = tuple(int(x) for x in frames)
     if "clip" not in {s.name for s in base.model.modalities}:
         raise ConfigError("frames-sweep needs the clip modality enabled")
-    os.makedirs(args.out, exist_ok=True)
     _write_run_manifest(args.out, "frames-sweep",
                         {**base.to_dict(), "frames": list(frame_counts)}, base.seed)
     jobs = []
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint stem (no extension)")
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=None, help="decision threshold (default: the checkpoint's)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("predict", help="score a single .mmf file")

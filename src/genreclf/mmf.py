@@ -154,9 +154,10 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     entry was imported under fails. Per-entry failures are collected and the
     rest of the import continues.
 
-    Returns a summary dict with the output manifest samples, the number
-    imported, and the per-file error messages.
+    Returns a summary dict with the number imported, the number failed,
+    the per-file error messages and the unknown genre labels dropped.
     """
+    from .data import VideoRecord, write_manifest
     from .vocab import GENRES
 
     src = read_json(manifest_path)
@@ -164,7 +165,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
         raise DataError(f"{manifest_path}: the source manifest is not an object with a list of samples")
     spec_by_name = {s.name: s for s in specs}
     os.makedirs(out_dir, exist_ok=True)
-    samples = []
+    records = []
     errors = []
     imported = set()
     dropped_genres = 0
@@ -196,21 +197,15 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
             out_path = os.path.join(out_dir, f"{vid}.mmf")
             write_mmf(features, out_path)
             imported.add(vid)
-            samples.append({
-                "id": vid,
-                "duration_s": entry.get("duration_s"),
-                "genres": known,
-                "path": f"{vid}.mmf",
-            })
+            records.append(VideoRecord(id=vid, duration_s=entry.get("duration_s"), genres=tuple(known),
+                                       path=out_path))
         except DataError as exc:
             errors.append(str(exc))
-    manifest = {"genres": list(GENRES), "samples": samples}
-    if samples:
-        write_atomic(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1).encode())
+    if records:
+        write_manifest(records, os.path.join(out_dir, "manifest.json"))
     return {
-        "imported": len(samples),
+        "imported": len(records),
         "failed": len(errors),
         "errors": errors,
         "dropped_genre_labels": dropped_genres,
-        "manifest": manifest,
     }

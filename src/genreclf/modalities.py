@@ -57,8 +57,8 @@ def default_modalities(names=None, averaged=()) -> tuple[ModalitySpec, ...]:
     if names is not None:
         unknown = set(names) - {s.name for s in DEFAULT_SPECS}
         if unknown:
-            raise ValueError(f"unknown modalities: {sorted(unknown)}")
+            raise ConfigError(f"unknown modalities: {sorted(unknown)}")
     bad = set(averaged) - {s.name for s in chosen}
     if bad:
-        raise ValueError(f"averaged modalities not enabled: {sorted(bad)}")
+        raise ConfigError(f"averaged modalities not enabled: {sorted(bad)}")
     return tuple(replace(s, temporal_average=(s.name in set(averaged))) for s in chosen)

@@ -59,6 +59,10 @@ class ModelConfig:
             raise ConfigError(f"model_dim and num_heads must be >= 1, got {self.model_dim} and {self.num_heads}")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not 0 <= self.threshold <= 1:
+            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        if not 0 < self.positive_weight < np.inf:
+            raise ConfigError(f"positive_weight must be finite and > 0, got {self.positive_weight}")
         if self.architecture != "mlp" and self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         names = [s.name for s in self.modalities]

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .errors import DataError
 from .rng import SeededRng
 
 
@@ -62,15 +63,15 @@ class ParameterStore:
 
 
 def check_arrays(arrays: dict[str, np.ndarray], shapes: dict, what: str):
-    """Raise ValueError unless ``arrays`` holds exactly the names of
+    """Raise DataError unless ``arrays`` holds exactly the names of
     ``shapes``, each with its shape."""
     missing = set(shapes) - set(arrays)
     extra = set(arrays) - set(shapes)
     if missing or extra:
-        raise ValueError(f"{what} set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        raise DataError(f"{what} set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     for name, shape in shapes.items():
         if np.shape(arrays[name]) != shape:
-            raise ValueError(f"shape mismatch for {name}: {np.shape(arrays[name])} vs {shape}")
+            raise DataError(f"shape mismatch for {name}: {np.shape(arrays[name])} vs {shape}")
 
 
 def init_linear(rng: SeededRng, fan_in: int, fan_out: int):

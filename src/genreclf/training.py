@@ -256,11 +256,8 @@ class Trainer:
         t = cls(config, train_records, val_records)
         moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state["adam_manifest"],
                             state["sha256"]["trainer_state.bin"])
-        try:
-            t.model.params.load_arrays(arrays)
-            t.adam.load_state_arrays(moments, state["adam_t"])
-        except ValueError as exc:
-            raise DataError(f"{state_dir}: {exc}")
+        t.model.params.load_arrays(arrays)
+        t.adam.load_state_arrays(moments, state["adam_t"])
         t.dropout_rng = SeededRng.from_state(state["dropout_rng"])
         t.global_step = state["global_step"]
         t.epoch = state["epoch"]

@@ -63,6 +63,16 @@ class TestSynth:
         assert doc["seed"] == 0
         assert doc["resolved_config"]["kind"] == "mean"
 
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-2"], ["--noise-std", "nan"], ["--noise-std", "inf"],
+                                       ["--noise-std", "-0.1"]])
+    def test_out_of_range_flag_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "ds"
+        rc = main(["synth", "--kind", "mean", "--n", "3", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and flags[0] in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestImport:
     def _sources(self, tmp_path, specs):
@@ -237,7 +247,9 @@ class TestTrain:
 
 class TestConfigChecks:
     @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-1"], ["--max-steps", "-1"],
-                                       ["--eval-interval", "-2"], ["--lr", "-0.001"], ["--lr", "nan"]])
+                                       ["--eval-interval", "-2"], ["--lr", "-0.001"], ["--lr", "nan"],
+                                       ["--modalities", "nope"], ["--modalities", ","],
+                                       ["--modalities", "clip", "--averaged", "ocr"]])
     def test_out_of_range_flag_is_config_error(self, mean_data, tmp_path, capsys, flags):
         rc = main(["train", "--preset", "mlp", *flags, "--data", mean_data, "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -288,6 +300,17 @@ class TestConfigChecks:
         assert rc == 2
         assert "config error" in err and "'nope'" in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "x" / "best.bin")
+
+    def test_threshold_outside_the_unit_interval_in_a_config_is_config_error(self, mean_data, tmp_path, capsys):
+        cfg = small_train_config(tmp_path)
+        doc = json.load(open(cfg))
+        doc["model"]["threshold"] = 7.0
+        json.dump(doc, open(cfg, "w"))
+        rc = main(["train", "--config", cfg, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "threshold must be in [0, 1], got 7.0" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags", [["--max-steps", "0"], ["--epochs", "0"]])
     def test_run_without_steps_exits_zero(self, mean_data, tmp_path, capsys, flags):
@@ -449,6 +472,36 @@ class TestEvalPredict:
         assert rc == 3
         assert "data error" in err and named in err and "Traceback" not in err
 
+    @staticmethod
+    def _checkpoint_with_threshold(trained, tmp_path, threshold):
+        stem = str(tmp_path / "ck")
+        shutil.copy(os.path.join(trained, "best.bin"), stem + ".bin")
+        doc = json.load(open(os.path.join(trained, "best.json")))
+        doc["config"]["threshold"] = threshold
+        json.dump(doc, open(stem + ".json", "w"))
+        return stem
+
+    @pytest.mark.parametrize("command", ("eval", "predict"))
+    def test_checkpoint_threshold_outside_the_unit_interval_is_data_error(self, mean_data, trained, tmp_path,
+                                                                          capsys, command):
+        stem = self._checkpoint_with_threshold(trained, tmp_path, 7.0)
+        out = tmp_path / "out"
+        where = (["--data", mean_data, "--out", str(out)] if command == "eval"
+                 else ["--input", os.path.join(mean_data, "synth000000.mmf")])
+        rc = main([command, "--checkpoint", stem] + where)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "data error" in err and "threshold must be in [0, 1]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_defaults_to_the_checkpoint_threshold(self, mean_data, trained, tmp_path):
+        stem = self._checkpoint_with_threshold(trained, tmp_path, 0.3)
+        for flags, want in (([], 0.3), (["--threshold", "0.7"], 0.7)):
+            out = tmp_path / f"out{want}"
+            assert main(["eval", "--checkpoint", stem, "--data", mean_data, "--out", str(out)] + flags) == 0
+            assert report_from_csv((out / "report.csv").read_text()).threshold == want
+            assert json.load(open(out / "run_manifest.json"))["resolved_config"]["threshold"] == want
+
     def test_predict_on_an_empty_file_is_data_error(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.mmf"
         empty.write_bytes(b"")
@@ -522,6 +575,36 @@ class TestAblate:
                 assert s.temporal_average == (s.name in row["averaged"])
 
 
+    def test_worker_count_is_capped_at_the_number_of_rows(self, monkeypatch):
+        import concurrent.futures
+        import genreclf.cli as cli
+
+        class InlineExecutor:
+            """Records max_workers and runs each job at submit; starts no process."""
+            seen = []
+
+            def __init__(self, max_workers):
+                self.seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli, "_train_eval_once", lambda cfg, splits: cfg / 10)
+        jobs = [(f"row{i}", i, None) for i in range(3)]
+        assert cli._run_rows(jobs, 64) == [("row0", 0.0), ("row1", 0.1), ("row2", 0.2)]
+        assert cli._run_rows(jobs, 2) == [("row0", 0.0), ("row1", 0.1), ("row2", 0.2)]
+        assert InlineExecutor.seen == [3, 2]
+
+
 class TestFramesSweep:
     def test_csv_rows(self, order_data, tmp_path):
         mods = [{"name": "clip", "input_dim": 16, "train_max_len": 16}]
@@ -549,6 +632,16 @@ class TestFramesSweep:
             assert list(s.clip_frames) == sorted(set(s.clip_frames)) and len(s.clip_frames) == min(4, len(clip))
             assert np.array_equal(s.get_features()["clip"], clip[s.clip_frames])
         assert all(r.features is None and r.clip_frames is None for r in records)
+
+    @pytest.mark.parametrize("frames", ["x", "-3", "0", "8,0", "8,", "1.5"])
+    def test_frame_count_below_one_or_not_an_integer_is_config_error(self, order_data, tmp_path, capsys, frames):
+        out = tmp_path / "sweep"
+        rc = main(["frames-sweep", "--preset", "mlp", "--modalities", "clip", "--data", order_data,
+                   "--frames", frames, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "--frames" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_default_frame_counts(self):
         from genreclf.cli import SWEEP_FRAME_COUNTS

@@ -78,7 +78,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [{"num_heads": 0}, {"model_dim": 0}, {"model_dim": -8},
                                            {"dropout_rate": 1.0}, {"dropout_rate": 1.5}, {"dropout_rate": -0.1},
-                                           {"dropout_rate": float("nan")}])
+                                           {"dropout_rate": float("nan")}, {"threshold": -0.1}, {"threshold": 1.5},
+                                           {"threshold": float("nan")}, {"positive_weight": 0.0},
+                                           {"positive_weight": -3.0}, {"positive_weight": float("inf")}])
     def test_out_of_range_rejected(self, overrides):
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             ModelConfig.preset("single_transformer", **overrides)

@@ -5,8 +5,8 @@ a global tape. ``backward(loss)`` walks the tape in exact reverse recording
 order, accumulating gradients additively into each input's ``.grad`` array,
 then clears the tape. One backward pass per recorded graph; run forward
 again to differentiate again. Wrap pure inference in ``no_grad()`` so
-nothing is recorded. ``attention`` is one node: scores, mask, softmax and
-context share one buffer, and only the probabilities are kept for backward.
+nothing is recorded. ``attention`` is one node over packed sequences, and
+keeps only each sequence's probabilities for backward.
 
 Dtype contract: float32 is the training dtype and matrix products go
 through BLAS; a constant given to ``add`` or ``mul`` (scalar or array)
@@ -78,9 +78,6 @@ class Tensor:
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
 
 class _Tape:
     def __init__(self):
@@ -128,20 +125,24 @@ def backward(loss: Tensor):
 
     Visits nodes in exact reverse recording order and accumulates gradients
     additively, so a tensor feeding several consumers receives the sum of
-    their contributions in a fixed, reproducible order. The tape is cleared
-    on return.
+    their contributions in a fixed, reproducible order. Each node and its
+    output gradient are dropped once it has run: the tape ends empty, and
+    only leaves (parameters, inputs) keep a gradient.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing was recorded for it")
     loss.grad = np.ones_like(loss.data)
+    nodes = _TAPE.nodes
     try:
-        for out, fn in reversed(_TAPE.nodes):
+        while nodes:
+            out, fn = nodes.pop()
             if out.grad is not None:
                 fn(out.grad)
+                out.grad = None
     finally:
-        _TAPE.nodes.clear()
+        nodes.clear()
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -324,25 +325,30 @@ def transpose(x: Tensor, axes) -> Tensor:
     return out
 
 
-def _is_basic_index(idx) -> bool:
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(p is None or p is Ellipsis or isinstance(p, slice)
-               or (isinstance(p, (int, np.integer)) and not isinstance(p, (bool, np.bool_)))
-               for p in parts)
+def _runs(a: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal consecutive entries of ``a``: the start of
+    each run, then len(a)."""
+    if len(a) == 0:
+        return np.zeros(1, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
 
 
-def getitem(x: Tensor, idx) -> Tensor:
-    """``x[idx]`` for a basic index: ints, slices, ``None`` and ``...``.
-    Such an index selects each element at most once, so backward adds the
-    gradient into its slice of a zero buffer; an index array or list, which
-    may repeat an element, is refused."""
-    if not _is_basic_index(idx):
-        raise ValueError(f"getitem takes ints, slices, None and ..., got {idx!r}")
+def take(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows ``idx`` (an integer array that may repeat a row) of ``x``; backward
+    adds each row's gradients into it in index order."""
     out = Tensor(x.data[idx])
     if _wants_grad(x):
         def bwd(g, x=x, idx=idx):
+            # a slice add per run of consecutive rows, or one flat add.at when
+            # the runs are too short to pay for the loop
             full = np.zeros_like(x.data)
-            full[idx] += g
+            cuts = _runs(idx - np.arange(len(idx)))
+            if cuts.size * 512 > g.size:
+                width = full[:1].size
+                np.add.at(full.reshape(-1), (idx[:, None] * width + np.arange(width)).reshape(-1), g.reshape(-1))
+            else:
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    full[idx[a]:idx[a] + b - a] += g[a:b]
             x._accumulate(full)
         _record(out, bwd)
     return out
@@ -363,27 +369,32 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    out = Tensor(np.broadcast_to(x.data, shape).copy())
-    if _wants_grad(x):
-        def bwd(g, x=x):
-            x._accumulate(_unbroadcast(g, x.shape))
-        _record(out, bwd)
-    return out
-
-
 # -- normalization / attention pieces -------------------------------------
 
 
-def _softmax_(p: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
-    """``softmax_rows`` of the array ``p``, computed in place in ``p``."""
+def _row_sums(x: np.ndarray, lengths: np.ndarray = None) -> np.ndarray:
+    """``x.sum(-1, keepdims=True)``; with ``lengths``, each row of the
+    (H, n, rows, T) ``x`` sums its first lengths[n] entries alone, which gives
+    the bits of summing those entries unpadded."""
+    if lengths is None:
+        return x.sum(axis=-1, keepdims=True)
+    out = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+    cuts = _runs(lengths)
+    for a, b in zip(cuts[:-1], cuts[1:]):   # runs of one length
+        out[:, a:b] = x[:, a:b, :, :lengths[a]].sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_(p: np.ndarray, mask: np.ndarray = None, lengths: np.ndarray = None) -> np.ndarray:
+    """``softmax_rows`` of the array ``p``, computed in place in ``p``;
+    ``lengths`` as for ``_row_sums``."""
     if mask is not None:
         np.copyto(p, -np.inf, where=np.logical_not(mask))
     m = p.max(axis=-1, keepdims=True)
     # a row with no valid entry has max -inf; 0 keeps p - m at -inf there
     p -= np.where(np.isfinite(m), m, 0.0)
     np.exp(p, out=p)
-    denom = p.sum(axis=-1, keepdims=True)
+    denom = _row_sums(p, lengths)
     p /= np.where(denom > 0, denom, 1.0)
     return p
 
@@ -406,26 +417,65 @@ def softmax_rows(x: Tensor, mask: np.ndarray = None) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray = None) -> Tensor:
-    """softmax_rows(q k^T / sqrt(dh), mask) v for (..., T, dh) inputs, as one
-    tape node. The scores become probabilities in one buffer, the only array
-    kept for backward; both passes do the arithmetic of the matmul -> mul ->
-    softmax_rows -> matmul chain in its order, so they match it bit for bit."""
-    p = _mm(q.data, np.swapaxes(k.data, -1, -2))
-    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=p.dtype)
-    p *= scale
-    out = Tensor(_mm(_softmax_(p, mask), v.data))
-    if _wants_grad(q, k, v):
-        def bwd(g, q=q, k=k, v=v, p=p):
-            if v.requires_grad:
-                v._accumulate(_mm(np.swapaxes(p, -1, -2), g))
-            dp = _mm(g, np.swapaxes(v.data, -1, -2))
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            ds *= scale
-            if q.requires_grad:
-                q._accumulate(_mm(ds, k.data))
-            if k.requires_grad:
-                k._accumulate(np.swapaxes(_mm(np.swapaxes(q.data, -1, -2), ds), -1, -2))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
+              one_query: bool = False) -> Tensor:
+    """Multi-head softmax_rows(q k^T / sqrt(dh)) v over packed sequences, one
+    tape node. Sequence i is rows offsets[i]:offsets[i+1] of the (N, D) ``q``,
+    ``k`` and ``v``, or with ``one_query`` its one query is row i of ``q``
+    (class attention); head h is columns h*dh:(h+1)*dh. Each sequence attends
+    over its own keys alone (no key: zeros). Each run of equal-length
+    sequences is one stack; with ``one_query`` all sequences are, padded, with
+    pad keys masked and each softmax row summed over its own length. Per
+    sequence both passes do the matmul -> mul -> softmax_rows -> matmul
+    chain's arithmetic in its order."""
+    lengths = np.diff(offsets)
+    cuts = _runs(lengths)
+    dh = q.shape[1] // heads
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=np.result_type(q.data, k.data))
+    stacks = []   # (query rows, key rows, (n, Tq, T), key lengths if padded); rows: a slice or flat indices
+    for a, b in [(0, len(lengths))] if one_query else zip(cuts[:-1], cuts[1:]):
+        t = lengths[a:b].max(initial=0)
+        if t > 0 and (lengths[a:b] < t).any():   # pads repeat a real row
+            keys = np.minimum(offsets[a:b, None] + np.arange(t), len(k.data) - 1).reshape(-1)
+            stacks.append((np.arange(a, b), keys, (b - a, 1, t), lengths[a:b]))
+        elif t > 0:
+            rows = slice(offsets[a], offsets[b])
+            stacks.append((slice(a, b) if one_query else rows, rows, (b - a, 1 if one_query else t, t), None))
+
+    def split(a, rows, n, t):  # rows of (rows, D) as (H, n, t, dh)
+        return a[rows].reshape(n, t, heads, dh).transpose(2, 0, 1, 3)
+
+    def merge(a):  # (H, n, t, dh) -> (n * t, D)
+        return a.transpose(1, 2, 0, 3).reshape(a.shape[1] * a.shape[2], -1)
+
+    def valid(shape, lens):  # the key positions that are not padding, (n, 1, T)
+        return None if lens is None else (np.arange(shape[2]) < lens[:, None])[:, None, :]
+
+    keep, probs = _wants_grad(q, k, v), []
+    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.result_type(q.data, k.data, v.data))
+    for qi, ki, (n, tq, t), lens in stacks:
+        p = _mm(split(q.data, qi, n, tq), split(k.data, ki, n, t).swapaxes(-1, -2))
+        p *= scale
+        out[qi] = merge(_mm(_softmax_(p, valid((n, tq, t), lens), lens), split(v.data, ki, n, t)))
+        if keep:
+            probs.append(p)
+    out = Tensor(out)
+    if keep:
+        def bwd(g, q=q, k=k, v=v):
+            gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
+            for (qi, ki, (n, tq, t), lens), p in zip(stacks, probs):
+                real = slice(None) if lens is None else valid((n, tq, t), lens).reshape(-1)
+                kr = ki if lens is None else ki[real]
+                gi = split(g, qi, n, tq)
+                gv[kr] = merge(_mm(p.swapaxes(-1, -2), gi))[real]
+                dp = _mm(gi, split(v.data, ki, n, t).swapaxes(-1, -2))
+                ds = p * (dp - _row_sums(dp * p, lens))
+                ds *= scale
+                gq[qi] = merge(_mm(ds, split(k.data, ki, n, t)))
+                gk[kr] = merge(_mm(split(q.data, qi, n, tq).swapaxes(-1, -2), ds).swapaxes(-1, -2))[real]
+            for t, gt in zip((q, k, v), (gq, gk, gv)):
+                if t.requires_grad:
+                    t._accumulate(gt)
         _record(out, bwd)
     return out
 
@@ -453,23 +503,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None, full_len: int = None) -> Tensor:
+def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None, rows: np.ndarray = None,
+            total_rows: int = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` in train mode and
     scale survivors by 1/(1-rate); identity in eval mode.
 
-    ``full_len`` marks ``x`` as the leading rows (axis 1) of a tensor that is
-    ``full_len`` rows long: ``x`` then gets that tensor's mask sliced the same
-    way, and the stream advances as for the whole tensor."""
+    ``rows`` marks ``x`` as those rows (axis 0) of a tensor ``total_rows``
+    long: ``x`` gets their mask rows, and the stream advances as for it all."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs a SeededRng")
-    if full_len is None:
+    if rows is None:
         keep = rng.uniform(x.shape) >= rate
     else:
-        keep = rng.uniform_leading((x.shape[0], full_len) + x.shape[2:], x.shape[1]) >= rate
+        keep = rng.uniform_rows((total_rows,) + x.shape[1:], rows) >= rate
     scale = 1.0 / (1.0 - rate)
     mask = keep.astype(x.dtype) * np.asarray(scale, dtype=x.dtype)
     out = Tensor(x.data * mask)

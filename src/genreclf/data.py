@@ -45,7 +45,7 @@ class Batch:
     ``heads[name][i]`` is a float32 view of record i's sequence cut to the
     batch length L of ``shapes[name] = (L, D)``. The padded (B, L, D)
     ``features`` and (B, L) ``masks`` (pad rows zero and False) are built
-    together on first access and then kept; only token streams need them.
+    together on first access and then kept; no model reads them.
     ``means`` averages the heads' own rows.
     """
     heads: dict[str, list[np.ndarray]]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .autograd import Tensor, backward, no_grad
+from .autograd import backward, no_grad
 
 
 def grad_check(f, params, eps: float = 1e-5) -> float:

@@ -12,6 +12,8 @@ feature sequences in, 21 genre logits out.
 
 The heads read only the CLS row of the last encoder layer, so that layer
 computes that row alone (``cls_only``), with keys and values from every token.
+Each sample's tokens are packed rows of one (N, D) matrix and attend over
+their own sample alone, so nothing is computed on padding.
 
 Sequences longer than a modality's learned positional table are truncated
 to the table length on the transformer paths (the tables bound usable
@@ -28,7 +30,7 @@ from .autograd import Tensor, no_grad
 from .data import Batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
 from .errors import ConfigError, DataError, config_field
 from .modalities import ModalitySpec, default_modalities
-from .nn import Linear, ParameterStore, TransformerEncoderLayer, init_embedding
+from .nn import Linear, ParameterStore, Segments, TransformerEncoderLayer, init_embedding
 from .rng import SeededRng, derive_seed
 from .vocab import NUM_GENRES
 
@@ -106,12 +108,6 @@ def _check_modality(batch: Batch, spec: ModalitySpec):
                         f"incompatible with input_dim {spec.input_dim}")
 
 
-def _per_sample(vec: Tensor, b: int) -> Tensor:
-    """A learned (D,) vector as one (B, 1, D) token per sample."""
-    d = vec.shape[0]
-    return ag.broadcast_to(ag.reshape(vec, (1, 1, d)), (b, 1, d))
-
-
 class _Model:
     def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
         self.config = config
@@ -126,21 +122,42 @@ class _Model:
 
 
 class _TransformerModel(_Model):
-    def _stream_tokens(self, batch: Batch, spec: ModalitySpec):
-        """The head of one modality's sequence, up to its positional table,
-        projected to model width with learned positions added; an averaged
-        stream becomes one token, the mean of that head. -> (tokens, mask)"""
-        _check_modality(batch, spec)
-        if spec.temporal_average:
-            x = batch.means(spec.name, limit=spec.train_max_len)[:, None, :]
-            m = np.array([len(h[:spec.train_max_len]) for h in batch.heads[spec.name]], dtype=int)[:, None] > 0
-        else:
-            x = batch.features[spec.name][:, :spec.train_max_len]
-            m = batch.masks[spec.name][:, :spec.train_max_len]
-        tokens = self.proj[spec.name](Tensor(x))
-        if x.shape[1] > 0:
-            tokens = ag.add(tokens, ag.getitem(self.params[f"pos.{spec.name}"], slice(0, x.shape[1])))
-        return tokens, m
+    def _pack(self, batch: Batch, parts):
+        """Each sample's sequence as packed rows: per (marker, spec) of ``parts``
+        that marker, then (unless spec is None) the stream's head cut to its
+        table, projected in one GEMM for all samples, plus pos[:L_i]; an averaged
+        stream is one token per non-empty head, its mean. -> (x (N, D), Segments)"""
+        b, first = batch.size, len(parts)
+        blocks = [ag.concat([ag.reshape(self.params[m], (1, -1)) for m, _ in parts], axis=0)]
+        index, valid = [], []
+        for j, (_, spec) in enumerate(parts):
+            index.append(np.full((b, 1), j))
+            valid.append(np.ones((b, 1), dtype=bool))
+            if spec is None:
+                continue
+            _check_modality(batch, spec)
+            heads = [h[:spec.train_max_len] for h in batch.heads[spec.name]]
+            lengths = np.array([len(h) for h in heads], dtype=np.int64)
+            if spec.temporal_average:
+                lengths = np.minimum(lengths, 1)
+                x, width = batch.means(spec.name, limit=spec.train_max_len)[lengths > 0], 1
+            else:
+                x, width = np.concatenate(heads), min(batch.shapes[spec.name][0], spec.train_max_len)
+            starts = np.cumsum(lengths) - lengths
+            pos = ag.take(self.params[f"pos.{spec.name}"], np.arange(len(x)) - np.repeat(starts, lengths))
+            blocks.append(ag.add(self.proj[spec.name](Tensor(x)), pos))
+            index.append((first + starts)[:, None] + np.arange(width))
+            valid.append(np.arange(width) < lengths[:, None])
+            first += len(x)
+        seg = Segments(np.concatenate(valid, axis=1))
+        return ag.take(ag.concat(blocks, axis=0), np.concatenate(index, axis=1).reshape(-1)[seg.rows]), seg
+
+    @staticmethod
+    def _encode(layers, x: Tensor, seg: Segments, train: bool, rng: SeededRng) -> Tensor:
+        """Each sample's CLS row after ``layers``, the last of which computes only those. (B, D)"""
+        for layer in layers:
+            x = layer(x, seg, train, rng)
+        return ag.take(x, seg.rank if layers else seg.starts)
 
 
 class MlpModel(_Model):
@@ -180,24 +197,12 @@ class SingleTransformerModel(_TransformerModel):
         self.head = Linear(self.params, "head", cfg.model_dim, NUM_GENRES, rng)
 
     def _assemble(self, batch: Batch):
-        """Project, position and fuse the enabled modalities into one
-        sequence per sample, returning (sequence Tensor, validity mask)."""
-        b = batch.size
-        ones = np.ones((b, 1), dtype=bool)
-        segs = [_per_sample(self.params["cls"], b)]
-        mask_parts = [ones]
-        for spec in self.config.modalities:
-            segs.append(_per_sample(self.params[f"sep.{spec.name}"], b))
-            tokens, m = self._stream_tokens(batch, spec)
-            segs.append(tokens)
-            mask_parts += [ones, m]
-        return ag.concat(segs, axis=1), np.concatenate(mask_parts, axis=1)
+        """Every sample's fused sequence as packed rows. -> (x, Segments)"""
+        return self._pack(batch, [("cls", None)] + [(f"sep.{spec.name}", spec) for spec in self.config.modalities])
 
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
-        x, mask = self._assemble(batch)
-        for layer in self.layers:
-            x = layer(x, mask, train, rng)
-        return self.head(x[:, 0])
+        x, seg = self._assemble(batch)
+        return self.head(self._encode(self.layers, x, seg, train, rng))
 
 
 class MultiTransformerModel(_TransformerModel):
@@ -221,19 +226,14 @@ class MultiTransformerModel(_TransformerModel):
         self.head = Linear(self.params, "head", cfg.model_dim * len(cfg.modalities), NUM_GENRES, rng)
 
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
-        b = batch.size
         cols = []
         for spec in self.config.modalities:
             if spec.temporal_average:
                 _check_modality(batch, spec)
                 cols.append(self.proj[spec.name](Tensor(batch.means(spec.name))))
                 continue
-            tokens, m = self._stream_tokens(batch, spec)
-            seq = ag.concat([_per_sample(self.params[f"cls.{spec.name}"], b), tokens], axis=1)
-            mask = np.concatenate([np.ones((b, 1), dtype=bool), m], axis=1)
-            for layer in self.encoders[spec.name]:
-                seq = layer(seq, mask, train, rng)
-            cols.append(seq[:, 0])
+            x, seg = self._pack(batch, [(f"cls.{spec.name}", spec)])
+            cols.append(self._encode(self.encoders[spec.name], x, seg, train, rng))
         return self.head(ag.concat(cols, axis=1))
 
 

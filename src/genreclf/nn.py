@@ -1,5 +1,5 @@
-"""Trainable layers: linear, multi-head self-attention with key-padding
-masks, transformer encoder layer, and the parameter registry they share.
+"""Trainable layers: linear, multi-head self-attention and the transformer
+encoder layer over packed sequences, and the parameter registry they share.
 
 Initialization (seed-reproducible): linear weights uniform in
 +-1/sqrt(fan_in) with zero biases; positional/CLS/SEP embeddings from
@@ -101,15 +101,28 @@ class Linear:
         return ag.add(out, self.b) if self.b is not None else out
 
 
+class Segments:
+    """Sequences packed shortest first into the rows of one (N, D) matrix, from
+    the (B, T) validity mask of their padded layout: ``rows`` holds each row's
+    padded position b * T + t, packed sequence j is rows offsets[j]:offsets[j+1],
+    and sample b is packed sequence ``rank[b]``, starting at row ``starts[b]``."""
+
+    def __init__(self, mask: np.ndarray):
+        lengths = mask.sum(axis=1)
+        order = np.argsort(lengths, kind="stable")
+        self.padded_rows = mask.size
+        self.offsets = np.concatenate(([0], np.cumsum(lengths[order])))
+        self.rank = np.argsort(order)
+        self.starts = self.offsets[self.rank]
+        b, t = np.nonzero(mask[order])
+        self.rows = order[b] * mask.shape[1] + t
+
+
 class MultiHeadSelfAttention:
-    """Scaled dot-product self-attention with a key-padding mask.
-
-    Pad keys are excluded from the softmax, so their attention weight is
-    exactly zero and pad content can never influence valid positions.
-
-    With ``cls_only`` only row 0 queries, over the keys and values of every
-    token (class attention, CaiT), and the output is (B, 1, D).
-    """
+    """Scaled dot-product self-attention over packed sequences: each
+    sequence's rows attend over its own rows alone, with nothing to mask.
+    With ``cls_only`` only each sequence's first row queries (class attention,
+    CaiT), and the output is (B, D) in packed order."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, heads: int, rng: SeededRng,
                  cls_only: bool = False):
@@ -126,33 +139,18 @@ class MultiHeadSelfAttention:
         self.v = Linear(store, f"{name}.v", dim, dim, rng)
         self.out = Linear(store, f"{name}.out", dim, dim, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray = None) -> Tensor:
-        b, t, d = x.shape
-        if d != self.dim:
-            raise ValueError(f"attention input width {d} != model dim {self.dim}")
-        if mask is not None and mask.shape != (b, t):
-            raise ValueError(f"mask shape {mask.shape} != (batch, time) = {(b, t)}")
-
-        def split(z):  # (B, n, D) -> (B, H, n, dh)
-            return ag.transpose(ag.reshape(z, (b, z.shape[1], self.heads, self.head_dim)), (0, 2, 1, 3))
-
-        q = split(self.q(x[:, :1] if self.cls_only else x))
-        k = split(self.k(x))
-        v = split(self.v(x))
-        key_mask = None if mask is None else mask[:, None, None, :]   # broadcast over heads/queries
-        ctx = ag.attention(q, k, v, key_mask)                         # (B, H, queries, dh)
-        ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, q.shape[2], d))
-        return self.out(ctx)
+    def __call__(self, x: Tensor, seg: Segments) -> Tensor:
+        q = self.q(ag.take(x, seg.offsets[:-1]) if self.cls_only else x)
+        return self.out(ag.attention(q, self.k(x), self.v(x), self.heads, seg.offsets, self.cls_only))
 
 
 class TransformerEncoderLayer:
-    """Post-norm encoder layer: attention + residual + layer norm, then a
-    D -> 4D -> D feed-forward with ReLU + residual + layer norm. Dropout is
-    applied to each sublayer output in train mode.
-
-    With ``cls_only`` the layer computes row 0 alone and returns (B, 1, D):
-    the last layer of a model whose head reads only the CLS row. Its dropout
-    masks are row 0 of the full layer's and consume the same stream."""
+    """Post-norm encoder layer on packed rows: attention + residual + layer
+    norm, then a D -> 4D -> D feed-forward with ReLU + residual + layer norm.
+    In train mode each sublayer output gets dropout, each row's mask drawn at
+    its padded position of a (B, T, D) draw. With ``cls_only`` the layer
+    computes each sequence's first row alone, with those rows' masks, and
+    returns (B, D) in packed order: the last layer under a CLS-reading head."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, heads: int,
                  dropout_rate: float, rng: SeededRng, cls_only: bool = False):
@@ -166,14 +164,15 @@ class TransformerEncoderLayer:
         self.ln2_g = store.add(f"{name}.ln2.g", np.ones(dim))
         self.ln2_b = store.add(f"{name}.ln2.b", np.zeros(dim))
 
-    def __call__(self, x: Tensor, mask: np.ndarray = None, train: bool = False,
-                 rng: SeededRng = None) -> Tensor:
-        t = x.shape[1]
-        a = self.attn(x, mask)
+    def __call__(self, x: Tensor, seg: Segments, train: bool = False, rng: SeededRng = None) -> Tensor:
+        # the first rows are taken apart from the query rows, so the gradients
+        # of x add up in the order of the full layer's
+        a = self.attn(x, seg)
+        rows = seg.rows
         if self.cls_only:
-            x = x[:, :1]
-        a = ag.dropout(a, self.dropout_rate, train, rng, t)
+            x, rows = ag.take(x, seg.offsets[:-1]), rows[seg.offsets[:-1]]
+        a = ag.dropout(a, self.dropout_rate, train, rng, rows, seg.padded_rows)
         x = ag.layer_norm(ag.add(x, a), self.ln1_g, self.ln1_b)
         f = self.ff2(ag.relu(self.ff1(x)))
-        f = ag.dropout(f, self.dropout_rate, train, rng, t)
+        f = ag.dropout(f, self.dropout_rate, train, rng, rows, seg.padded_rows)
         return ag.layer_norm(ag.add(x, f), self.ln2_g, self.ln2_b)

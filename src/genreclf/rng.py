@@ -97,17 +97,16 @@ class SeededRng:
         out = low + (high - low) * u
         return out.reshape(shape) if shape else out[0]
 
-    def uniform_leading(self, shape, rows: int) -> np.ndarray:
-        """``uniform(shape)[:, :rows]`` for a ``shape`` of rank >= 2, computing
-        only those values: the outputs of the leading ``rows`` along axis 1 of
-        each sample. The counter advances past the whole ``shape``."""
-        b, t = shape[:2]
-        inner = int(np.prod(shape[2:]))
-        ks = (np.arange(b, dtype=np.uint64)[:, None] * np.uint64(t * inner)
-              + np.arange(1, rows * inner + 1, dtype=np.uint64))
+    def uniform_rows(self, shape, rows: np.ndarray) -> np.ndarray:
+        """``uniform(shape)[rows]`` for an integer index array ``rows`` along
+        axis 0, computing only those rows' values. The counter advances past
+        the whole ``shape``."""
+        inner = int(np.prod(shape[1:]))
+        ks = (np.asarray(rows, dtype=np.uint64)[:, None] * np.uint64(inner)
+              + np.arange(1, inner + 1, dtype=np.uint64))
         u = (self._outputs(ks.ravel()) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        self.counter += b * t * inner
-        return u.reshape((b, rows) + tuple(shape[2:]))
+        self.counter += int(np.prod(shape))
+        return u.reshape((len(rows),) + tuple(shape[1:]))
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on consecutive uniform pairs."""

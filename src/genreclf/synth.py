@@ -17,6 +17,7 @@ Two constructions:
 import numpy as np
 
 from .data import VideoRecord
+from .errors import ConfigError
 from .modalities import DEFAULT_SPECS
 from .rng import SeededRng, derive_seed
 from .vocab import GENRES
@@ -26,8 +27,8 @@ def synth_mean_encoded(n: int, seed: int, noise_std: float = 0.1, specs=DEFAULT_
                        genre_prob: float = 0.15) -> list[VideoRecord]:
     """Generate ``n`` mean-separable records. Fully reproducible from
     (n, seed): the same pair always yields the same dataset."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or not 0 <= noise_std < np.inf:
+        raise ConfigError(f"n must be >= 1 and noise_std finite and >= 0, got {n} and {noise_std}")
     sig_rng = SeededRng(derive_seed(seed, "signatures"))
     signatures = {s.name: sig_rng.normal((len(GENRES), s.input_dim)) for s in specs}
     records = []
@@ -63,7 +64,7 @@ def synth_order_encoded(n: int, seed: int, dim: int = 16, block_len: int = 8,
     record flips its label while leaving the frame multiset untouched.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError(f"n must be >= 1, got {n}")
     marker_rng = SeededRng(derive_seed(seed, "markers"))
     marker_a = marker_rng.normal((dim,))
     marker_b = marker_rng.normal((dim,))

@@ -107,9 +107,9 @@ class TrainHistory:
 
 def _eval_bucket(config: ModelConfig) -> int:
     """Records per scoring forward in ``evaluate``: EVAL_BATCH when the model
-    reads no padded token stream (the mlp, or every stream averaged), else
-    one, since a padded bucket of long token streams multiplies peak memory
-    without scoring faster."""
+    reads no token stream (the mlp, or every stream averaged), else one; a
+    padded bucket of long token streams multiplied peak memory without
+    scoring faster, and packed buckets are not measured yet."""
     if config.architecture == "mlp" or all(s.temporal_average for s in config.modalities):
         return EVAL_BATCH
     return 1

@@ -18,7 +18,7 @@ from genreclf.metrics import average_precision, compute_report, precision_recall
 from genreclf.mmf import import_npy, read_mmf, write_mmf
 from genreclf.modalities import ModalitySpec, default_modalities
 from genreclf.models import ModelConfig, build_model, predict_scores
-from genreclf.nn import Linear, MultiHeadSelfAttention, ParameterStore, TransformerEncoderLayer
+from genreclf.nn import Linear, MultiHeadSelfAttention, ParameterStore, Segments, TransformerEncoderLayer
 from genreclf.rng import SeededRng
 from genreclf.synth import ORDER_GENRES, synth_mean_encoded, synth_order_encoded
 from genreclf.training import TrainConfig, Trainer, train, weighted_bce
@@ -70,17 +70,17 @@ def test_criterion_1_gradients():
 
     store = ParameterStore(dtype=np.float64)
     attn = MultiHeadSelfAttention(store, "attn", 8, 2, SeededRng(2))
-    xa = Tensor(SeededRng(3).normal((2, 5, 8)), dtype=np.float64)
-    mask = np.array([[True] * 5, [True, True, True, False, False]])
-    wa = SeededRng(4).normal((2, 5, 8))
-    worst["attention"] = grad_check(lambda: ag.tsum(ag.mul(attn(xa, mask), wa)), store.tensors(), eps=1e-5)
+    sa = Segments(np.array([[True] * 5, [True, True, True, False, False]]))
+    xa = Tensor(SeededRng(3).normal((10, 8))[sa.rows], dtype=np.float64)
+    wa = SeededRng(4).normal((8, 8))
+    worst["attention"] = grad_check(lambda: ag.tsum(ag.mul(attn(xa, sa), wa)), store.tensors(), eps=1e-5)
 
     store = ParameterStore(dtype=np.float64)
     enc = TransformerEncoderLayer(store, "enc", 8, 2, 0.0, SeededRng(5))
-    xe = Tensor(SeededRng(6).normal((2, 4, 8)), dtype=np.float64)
-    me = np.array([[True] * 4, [True, True, False, False]])
-    we = SeededRng(7).normal((2, 4, 8))
-    worst["encoder_layer"] = grad_check(lambda: ag.tsum(ag.mul(enc(xe, me), we)), store.tensors(), eps=1e-5)
+    se = Segments(np.array([[True] * 4, [True, True, False, False]]))
+    xe = Tensor(SeededRng(6).normal((8, 8))[se.rows], dtype=np.float64)
+    we = SeededRng(7).normal((6, 8))
+    worst["encoder_layer"] = grad_check(lambda: ag.tsum(ag.mul(enc(xe, se), we)), store.tensors(), eps=1e-5)
 
     g = Tensor(SeededRng(8).normal((6,)), requires_grad=True, dtype=np.float64)
     bshift = Tensor(SeededRng(9).normal((6,)), requires_grad=True, dtype=np.float64)

@@ -4,7 +4,7 @@ import pytest
 import genreclf.autograd as ag
 import genreclf.mmf as mmf
 import genreclf.training as training
-from genreclf.autograd import no_grad
+from genreclf.autograd import Tensor, no_grad
 from genreclf.checkpoint import load_checkpoint, save_checkpoint
 from genreclf.data import Batch, VideoRecord, make_batch, temporal_average
 from genreclf.errors import ConfigError, DataError
@@ -190,20 +190,25 @@ class TestAssembly:
     def test_assembled_length_and_mask(self):
         cfg = toy_config("single_transformer")
         model = build_model(cfg, seed=13)
-        batch = make_batch(toy_records(2, seed=14), TOY_SPECS)
-        seq, mask = model._assemble(batch)
+        records = toy_records(2, seed=14)
+        batch = make_batch(records, TOY_SPECS)
+        seq, seg = model._assemble(batch)
         expected = 1 + sum(1 + s.train_max_len for s in cfg.modalities)
-        assert seq.shape == (2, expected, cfg.model_dim)
-        assert mask.shape == (2, expected)
-        assert mask[:, 0].all()          # CLS always valid
+        valid = [1 + sum(1 + min(len(r.features[s.name]), s.train_max_len) for s in cfg.modalities) for r in records]
+        assert seg.padded_rows == 2 * expected
+        assert seg.offsets.tolist() == [0, min(valid), sum(valid)]   # shortest first
+        assert (seg.starts[1] == 0) == (valid[1] < valid[0])
+        assert seq.shape == (sum(valid), cfg.model_dim)
+        assert seg.rows[seg.starts].tolist() == [0, expected]    # CLS first in each padded row
+        assert seq.data[seg.starts].tobytes() == np.stack([model.params["cls"].data] * 2).tobytes()
 
     def test_averaged_modality_contributes_one_position(self):
         cfg = toy_config("single_transformer", averaged=("ocr",))
         model = build_model(cfg, seed=15)
         batch = make_batch(toy_records(2, seed=16), TOY_SPECS)
-        seq, _ = model._assemble(batch)
+        _, seg = model._assemble(batch)
         expected = 1 + (1 + 7) + (1 + 1) + (1 + 5)
-        assert seq.shape[1] == expected
+        assert seg.padded_rows == 2 * expected
 
     def test_empty_modality_contributes_only_sep(self):
         cfg = toy_config("single_transformer")
@@ -211,31 +216,150 @@ class TestAssembly:
         records = toy_records(1, seed=18)
         records[0].features["ocr"] = np.zeros((0, 6), dtype=np.float32)
         batch = make_batch(records, TOY_SPECS, lengths="full")
-        seq, mask = model._assemble(batch)
+        seq, seg = model._assemble(batch)
         t_clip = records[0].features["clip"].shape[0]
         t_asr = records[0].features["asr"].shape[0]
-        assert seq.shape[1] == 1 + (1 + t_clip) + (1 + 0) + (1 + t_asr)
-        assert mask.all()       # nothing is padded; the empty stream is just its SEP
+        assert seq.shape[0] == 1 + (1 + t_clip) + (1 + 0) + (1 + t_asr)
+        assert seg.padded_rows == seq.shape[0]     # nothing is padded; the empty stream is just its SEP
         with no_grad():
             out = model.forward(batch)
         assert out.shape == (1, 21)
 
 
-class TestMaskInvariance:
-    @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
-    def test_pad_content_cannot_change_logits(self, arch):
-        model = build_model(toy_config(arch), seed=19)
-        records = toy_records(3, seed=20)
-        batch = make_batch(records, TOY_SPECS)
-        base = predict_scores(model, batch)
-        rng = SeededRng(21)
-        poked = {}
-        for name in batch.features:
-            x, m = batch.features[name], batch.masks[name]
-            noise = rng.normal(x.shape, 0.0, 100.0).astype(np.float32)
-            batch.features[name] = poked[name] = np.where(m[:, :, None], x, noise)
-        assert all(batch.features[name] is poked[name] for name in poked)   # the model reads the poked arrays
-        assert np.array_equal(base, predict_scores(model, batch))
+def padded_logits(model, batch, train=False, rng=None):
+    """The padded forward pass the packed models replaced, built from their
+    parameters: each stream zero-padded to its batch length cut to its
+    positional table, pad keys masked out of the softmax, every layer
+    computed over all rows with dropout drawn over the whole (B, T, D)
+    tensor, and the CLS row read at the end."""
+    p, b = model.params, batch.size
+
+    def marker(name):
+        return ag.reshape(ag.take(ag.reshape(p[name], (1, -1)), np.zeros(b, dtype=int)), (b, 1, -1))
+
+    def stream(spec):
+        if spec.temporal_average:
+            x = batch.means(spec.name, limit=spec.train_max_len)[:, None, :]
+            m = np.array([[len(h[:spec.train_max_len]) > 0] for h in batch.heads[spec.name]])
+        else:
+            x = batch.features[spec.name][:, :spec.train_max_len]
+            m = batch.masks[spec.name][:, :spec.train_max_len]
+        tokens = model.proj[spec.name](Tensor(x))
+        return ag.add(tokens, ag.take(p[f"pos.{spec.name}"], np.arange(x.shape[1]))), m
+
+    def layer_of(layer, x, mask):
+        attn, (b, t, d) = layer.attn, x.shape
+
+        def split(z):
+            return ag.transpose(ag.reshape(z, (b, t, attn.heads, attn.head_dim)), (0, 2, 1, 3))
+
+        scores = ag.mul(ag.matmul(split(attn.q(x)), ag.transpose(split(attn.k(x)), (0, 1, 3, 2))),
+                        1.0 / np.sqrt(attn.head_dim))
+        ctx = ag.matmul(ag.softmax_rows(scores, mask[:, None, None, :]), split(attn.v(x)))
+        a = attn.out(ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, t, d)))
+        x = ag.layer_norm(ag.add(x, ag.dropout(a, layer.dropout_rate, train, rng)), layer.ln1_g, layer.ln1_b)
+        f = ag.dropout(layer.ff2(ag.relu(layer.ff1(x))), layer.dropout_rate, train, rng)
+        return ag.layer_norm(ag.add(x, f), layer.ln2_g, layer.ln2_b)
+
+    def encode(layers, segs, masks):
+        x, mask = ag.concat(segs, axis=1), np.concatenate(masks, axis=1)
+        for layer in layers:
+            x = layer_of(layer, x, mask)
+        return ag.take(ag.reshape(x, (-1, x.shape[2])), np.arange(b) * x.shape[1])
+
+    ones = np.ones((b, 1), dtype=bool)
+    if model.config.architecture == "single_transformer":
+        segs, masks = [marker("cls")], [ones]
+        for spec in model.config.modalities:
+            tokens, m = stream(spec)
+            segs += [marker(f"sep.{spec.name}"), tokens]
+            masks += [ones, m]
+        return model.head(encode(model.layers, segs, masks))
+    cols = []
+    for spec in model.config.modalities:
+        if spec.temporal_average:
+            cols.append(model.proj[spec.name](Tensor(batch.means(spec.name))))
+        else:
+            tokens, m = stream(spec)
+            cols.append(encode(model.encoders[spec.name], [marker(f"cls.{spec.name}"), tokens], [ones, m]))
+    return model.head(ag.concat(cols, axis=1))
+
+
+def mixed_records():
+    """Five records of mixed lengths: the second has an empty ocr stream,
+    the fourth a clip stream longer than its table."""
+    records = toy_records(5, seed=20, max_extra=3)
+    records[1].features["ocr"] = np.zeros((0, 6), dtype=np.float32)
+    records[3].features["clip"] = SeededRng(21).normal((11, 10)).astype(np.float32)
+    return records
+
+
+PACKED_MODELS = [(arch, averaged) for arch in ("single_transformer", "multi_transformer")
+                 for averaged in ((), ("ocr",))]
+
+
+def step_of(model, batch, forward):
+    """Loss, logits, every parameter gradient and the final dropout counter
+    of one train-mode step through ``forward``."""
+    rng = SeededRng(73)
+    model.params.zero_grad()
+    logits = forward(model, batch, train=True, rng=rng)
+    loss = weighted_bce(logits, batch.labels, 0.25)
+    ag.backward(loss)
+    return loss.data, logits.data, {n: t.grad for n, t in model.params.items()}, rng.counter
+
+
+class TestPacking:
+    """The packed models compute what the padded ones did, and no sample
+    sees another: pad content has no row to reach them through."""
+
+    @pytest.mark.parametrize("arch, averaged", PACKED_MODELS)
+    def test_batch_composition_invariance(self, arch, averaged):
+        config = toy_config(arch, averaged=averaged, layers=2)
+        model = build_model(config, seed=19, dtype=np.float64)
+        records = mixed_records()
+        with no_grad():
+            mixed = model.forward(make_batch(records, config.modalities)).data
+            for i, rec in enumerate(records):
+                for lengths in ("train", "full"):
+                    alone = model.forward(make_batch([rec], config.modalities, lengths=lengths)).data
+                    assert alone.tobytes() == mixed[i:i + 1].tobytes()
+
+    # Every pad of the padded pass adds exact zeros, so float64 moves only
+    # through summation order (softmax row sums, and the length-sorted rows
+    # of each weight gradient): at most 3.1e-15 relative over 20 model and
+    # data seeds.
+    PADDED_RTOL = 1e-12
+
+    @pytest.mark.parametrize("lengths", ("train", "full"))
+    @pytest.mark.parametrize("arch, averaged", PACKED_MODELS)
+    def test_float64_matches_padded_reference(self, arch, averaged, lengths):
+        config = toy_config(arch, averaged=averaged, layers=2, dropout=0.3)
+        model = build_model(config, seed=22, dtype=np.float64)
+        batch = make_batch(mixed_records(), config.modalities, lengths=lengths)
+        got = step_of(model, batch, lambda m, *a, **k: m.forward(*a, **k))
+        want = step_of(model, batch, padded_logits)
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max() if np.abs(b).max() > 0 else np.abs(a).max()
+
+        assert rel(got[0], want[0]) <= self.PADDED_RTOL
+        assert rel(got[1], want[1]) <= self.PADDED_RTOL
+        assert got[2].keys() == want[2].keys()
+        for name in got[2]:
+            assert rel(got[2][name], want[2][name]) <= self.PADDED_RTOL, name
+        assert got[3] == want[3] > 0
+
+    @pytest.mark.parametrize("arch, averaged", PACKED_MODELS)
+    def test_float32_within_criterion_6(self, arch, averaged):
+        config = toy_config(arch, averaged=averaged, layers=2)
+        model = build_model(config, seed=23)
+        batch = make_batch(mixed_records(), config.modalities)
+        with no_grad():
+            got = ag.sigmoid_array(model.forward(batch).data)
+            want = ag.sigmoid_array(padded_logits(model, batch).data)
+        assert got.dtype == want.dtype == np.float32
+        assert np.abs(got - want).max() <= 1e-5
 
 
 def spy_batches(monkeypatch):
@@ -263,11 +387,11 @@ class TestPaddingOnDemand:
         assert not any("_padded" in b.__dict__ for b in batches)
 
     @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
-    def test_token_streams_read_the_padded_tensors(self, arch):
+    def test_token_streams_build_no_padded_tensor(self, arch):
         batch = make_batch(toy_records(3, seed=82), TOY_SPECS)
-        with no_grad():
-            build_model(toy_config(arch, averaged=("ocr",)), seed=83).forward(batch)
-        assert "_padded" in batch.__dict__
+        build_model(toy_config(arch, averaged=("ocr",), dropout=0.3), seed=83).forward(batch, True, SeededRng(1))
+        ag.clear_tape()
+        assert "_padded" not in batch.__dict__
 
     @pytest.mark.parametrize("arch, cut", [("single_transformer", 4), ("multi_transformer", None)])
     def test_averaged_stream_reads_the_head_mean(self, arch, cut, monkeypatch):
@@ -281,9 +405,11 @@ class TestPaddingOnDemand:
         model = build_model(config, seed=85, dtype=np.float64)
         batch = make_batch(records, config.modalities, lengths="full")
         got = model.forward(batch, train=True, rng=SeededRng(86)).data
-        if arch == "single_transformer":
-            _, mask = model._stream_tokens(batch, config.modalities[1])
-            assert mask[:, 0].tolist() == [len(r.features["ocr"]) > 0 for r in records]
+        if arch == "single_transformer":   # an empty head adds no ocr token
+            rows = [1 + sum(1 + min(len(r.features[s.name]), 1 if s.temporal_average else s.train_max_len)
+                            for s in config.modalities) for r in records]
+            assert np.diff(model._assemble(batch)[1].offsets).tolist() == sorted(rows)
+            ag.clear_tape()
         monkeypatch.setattr(Batch, "means", lambda self, name, limit=None: temporal_average(
             self.features[name][:, :cut], self.masks[name][:, :cut]))
         assert got.tobytes() == model.forward(batch, train=True, rng=SeededRng(86)).data.tobytes()
@@ -303,24 +429,23 @@ class TestBatchEquivalence:
 
 class FullLayer:
     """Reference for a class-attention layer: the same parameters computed
-    over every row (T queries, T-row residual, layer norms and feed-forward,
-    dropout drawn over (B, T, D)), then row 0 kept."""
+    over every packed row (every row queries, each row's dropout mask drawn
+    at its padded position), then each sequence's first row kept, in packed
+    order."""
 
     def __init__(self, layer):
         self.layer = layer
 
-    def __call__(self, x, mask, train=False, rng=None):
+    def __call__(self, x, seg, train=False, rng=None):
         layer, attn = self.layer, self.layer.attn
-        b, t, d = x.shape
 
-        def split(z):
-            return ag.transpose(ag.reshape(z, (b, t, attn.heads, attn.head_dim)), (0, 2, 1, 3))
+        def dropout(z):
+            return ag.dropout(z, layer.dropout_rate, train, rng, seg.rows, seg.padded_rows)
 
-        ctx = ag.attention(split(attn.q(x)), split(attn.k(x)), split(attn.v(x)), mask[:, None, None, :])
-        a = attn.out(ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, t, d)))
-        x = ag.layer_norm(ag.add(x, ag.dropout(a, layer.dropout_rate, train, rng)), layer.ln1_g, layer.ln1_b)
-        f = ag.dropout(layer.ff2(ag.relu(layer.ff1(x))), layer.dropout_rate, train, rng)
-        return ag.layer_norm(ag.add(x, f), layer.ln2_g, layer.ln2_b)[:, :1]
+        a = attn.out(ag.attention(attn.q(x), attn.k(x), attn.v(x), attn.heads, seg.offsets))
+        x = ag.layer_norm(ag.add(x, dropout(a)), layer.ln1_g, layer.ln1_b)
+        f = dropout(layer.ff2(ag.relu(layer.ff1(x))))
+        return ag.take(ag.layer_norm(ag.add(x, f), layer.ln2_g, layer.ln2_b), seg.offsets[:-1])
 
 
 def last_layers(model):
@@ -330,8 +455,8 @@ def last_layers(model):
 
 
 def class_attention_records():
-    """Four records; the second has no asr frames, so its asr stream mask
-    is all False."""
+    """Four records; the second has no asr frames, so its asr sequence is
+    its CLS row alone."""
     records = toy_records(4, seed=71)
     records[1].features["asr"] = np.zeros((0, 6), dtype=np.float32)
     return records
@@ -353,7 +478,7 @@ class TestClassAttention:
     def test_float64_bit_identical_to_full_layer(self, arch, averaged):
         config = toy_config(arch, averaged=averaged, layers=2, dropout=0.3)
         batch = make_batch(class_attention_records(), config.modalities)
-        assert not batch.masks["asr"][1].any()
+        assert len(batch.heads["asr"][1]) == 0
         model = build_model(config, seed=72, dtype=np.float64)
         got = train_step(model, batch)
         for stack, i in last_layers(model):
@@ -372,19 +497,19 @@ class TestClassAttention:
         queries = []
         attention = ag.attention
 
-        def spy(q, k, v, mask=None):
-            queries.append((q.shape, k.shape))
-            return attention(q, k, v, mask)
+        def spy(q, k, v, heads, offsets, one_query=False):
+            queries.append((q.shape, k.shape, heads, len(offsets)))
+            return attention(q, k, v, heads, offsets, one_query)
 
         monkeypatch.setattr(ag, "attention", spy)
         predict_scores(model, batch)
-        b, h, dh = batch.size, config.num_heads, config.model_dim // config.num_heads
+        b, h, d = batch.size, config.num_heads, config.model_dim
         layers = 2 * (1 if arch == "single_transformer" else len(config.modalities))
         assert len(queries) == layers
         for first, last in zip(queries[::2], queries[1::2]):
-            t = first[1][2]
-            assert first == ((b, h, t, dh), (b, h, t, dh))
-            assert last == ((b, h, 1, dh), (b, h, t, dh))
+            n = first[1][0]
+            assert first == ((n, d), (n, d), h, b + 1)
+            assert last == ((b, d), (n, d), h, b + 1)
 
     # Largest |float32 - float64| logit, measured with OpenBLAS: 3.1e-7
     # (single_transformer) and 4.8e-7 (multi_transformer) on this case, at

@@ -71,23 +71,25 @@ def test_subsample_sorted():
 
 
 @settings(max_examples=200, deadline=None)
-@example(seed=0, counter=0, b=3, t=1, d=4, rows=1)
-@example(seed=5, counter=2**40, b=2, t=6, d=3, rows=6)
-@given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**48),
-       b=st.integers(1, 5), t=st.integers(1, 9), d=st.integers(1, 6), rows=st.integers(1, 9))
-def test_uniform_leading_slices_full_draw(seed, counter, b, t, d, rows):
-    rows = min(rows, t)
-    full, leading = SeededRng(seed, counter), SeededRng(seed, counter)
-    want = full.uniform((b, t, d))[:, :rows]
-    got = leading.uniform_leading((b, t, d), rows)
+@example(seed=0, counter=0, n=3, d=4, rows=[0, 2])
+@example(seed=5, counter=2**40, n=6, d=3, rows=[5, 0, 3, 3])
+@example(seed=1, counter=0, n=4, d=2, rows=[])
+@given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**48), n=st.integers(1, 12),
+       d=st.integers(1, 6), rows=st.lists(st.integers(0, 11), max_size=12))
+def test_uniform_rows_index_the_full_draw(seed, counter, n, d, rows):
+    rows = np.array([r for r in rows if r < n], dtype=np.int64)
+    full, picked = SeededRng(seed, counter), SeededRng(seed, counter)
+    want = full.uniform((n, d))[rows]
+    got = picked.uniform_rows((n, d), rows)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert leading.counter == full.counter == counter + b * t * d
+    assert picked.counter == full.counter == counter + n * d
 
 
-def test_uniform_leading_of_rank_two_and_four():
-    for shape in ((4, 7), (2, 5, 3, 2)):
-        want = SeededRng(8, 3).uniform(shape)[:, :2]
-        assert SeededRng(8, 3).uniform_leading(shape, 2).tobytes() == want.tobytes()
+def test_uniform_rows_of_rank_one_and_four():
+    rows = np.array([3, 0, 1])
+    for shape in ((4,), (4, 5, 3, 2)):
+        want = SeededRng(8, 3).uniform(shape)[rows]
+        assert SeededRng(8, 3).uniform_rows(shape, rows).tobytes() == want.tobytes()
 
 
 def test_state_round_trip_resumes_stream():

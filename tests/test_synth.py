@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from genreclf.data import temporal_average
+from genreclf.errors import ConfigError
 from genreclf.modalities import ModalitySpec
 from genreclf.synth import ORDER_GENRES, synth_mean_encoded, synth_order_encoded
 from genreclf.vocab import GENRES, label_vector
@@ -48,7 +50,18 @@ class TestMeanEncoded:
         assert np.array_equal(pred > 0.5, targets > 0.5)
 
 
+    @pytest.mark.parametrize("n, noise_std", [(0, 0.1), (-3, 0.1), (4, float("nan")), (4, float("inf")), (4, -0.1)])
+    def test_bad_size_or_noise_refused(self, n, noise_std):
+        with pytest.raises(ConfigError, match="n must be >= 1 and noise_std finite and >= 0"):
+            synth_mean_encoded(n, seed=0, noise_std=noise_std, specs=SMALL)
+
+
 class TestOrderEncoded:
+    @pytest.mark.parametrize("n", (0, -1))
+    def test_bad_size_refused(self, n):
+        with pytest.raises(ConfigError, match="n must be >= 1"):
+            synth_order_encoded(n, seed=0)
+
     def test_reproducible(self):
         a = synth_order_encoded(10, seed=5)
         b = synth_order_encoded(10, seed=5)

@@ -339,16 +339,10 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(x.data[idx])
     if _wants_grad(x):
         def bwd(g, x=x, idx=idx):
-            # a slice add per run of consecutive rows, or one flat add.at when
-            # the runs are too short to pay for the loop
             full = np.zeros_like(x.data)
-            cuts = _runs(idx - np.arange(len(idx)))
-            if cuts.size * 512 > g.size:
-                width = full[:1].size
-                np.add.at(full.reshape(-1), (idx[:, None] * width + np.arange(width)).reshape(-1), g.reshape(-1))
-            else:
-                for a, b in zip(cuts[:-1], cuts[1:]):
-                    full[idx[a]:idx[a] + b - a] += g[a:b]
+            cuts = _runs(idx - np.arange(len(idx)))   # runs of consecutive rows
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                full[idx[a]:idx[a] + b - a] += g[a:b]
             x._accumulate(full)
         _record(out, bwd)
     return out
@@ -372,29 +366,15 @@ def concat(tensors, axis: int) -> Tensor:
 # -- normalization / attention pieces -------------------------------------
 
 
-def _row_sums(x: np.ndarray, lengths: np.ndarray = None) -> np.ndarray:
-    """``x.sum(-1, keepdims=True)``; with ``lengths``, each row of the
-    (H, n, rows, T) ``x`` sums its first lengths[n] entries alone, which gives
-    the bits of summing those entries unpadded."""
-    if lengths is None:
-        return x.sum(axis=-1, keepdims=True)
-    out = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
-    cuts = _runs(lengths)
-    for a, b in zip(cuts[:-1], cuts[1:]):   # runs of one length
-        out[:, a:b] = x[:, a:b, :, :lengths[a]].sum(axis=-1, keepdims=True)
-    return out
-
-
-def _softmax_(p: np.ndarray, mask: np.ndarray = None, lengths: np.ndarray = None) -> np.ndarray:
-    """``softmax_rows`` of the array ``p``, computed in place in ``p``;
-    ``lengths`` as for ``_row_sums``."""
+def _softmax_(p: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
+    """``softmax_rows`` of the array ``p``, computed in place in ``p``."""
     if mask is not None:
         np.copyto(p, -np.inf, where=np.logical_not(mask))
     m = p.max(axis=-1, keepdims=True)
     # a row with no valid entry has max -inf; 0 keeps p - m at -inf there
     p -= np.where(np.isfinite(m), m, 0.0)
     np.exp(p, out=p)
-    denom = _row_sums(p, lengths)
+    denom = p.sum(axis=-1, keepdims=True)
     p /= np.where(denom > 0, denom, 1.0)
     return p
 
@@ -424,23 +404,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
     ``k`` and ``v``, or with ``one_query`` its one query is row i of ``q``
     (class attention); head h is columns h*dh:(h+1)*dh. Each sequence attends
     over its own keys alone (no key: zeros). Each run of equal-length
-    sequences is one stack; with ``one_query`` all sequences are, padded, with
-    pad keys masked and each softmax row summed over its own length. Per
+    sequences is one stack of slice views, with nothing to pad or mask, so per
     sequence both passes do the matmul -> mul -> softmax_rows -> matmul
     chain's arithmetic in its order."""
     lengths = np.diff(offsets)
     cuts = _runs(lengths)
     dh = q.shape[1] // heads
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=np.result_type(q.data, k.data))
-    stacks = []   # (query rows, key rows, (n, Tq, T), key lengths if padded); rows: a slice or flat indices
-    for a, b in [(0, len(lengths))] if one_query else zip(cuts[:-1], cuts[1:]):
-        t = lengths[a:b].max(initial=0)
-        if t > 0 and (lengths[a:b] < t).any():   # pads repeat a real row
-            keys = np.minimum(offsets[a:b, None] + np.arange(t), len(k.data) - 1).reshape(-1)
-            stacks.append((np.arange(a, b), keys, (b - a, 1, t), lengths[a:b]))
-        elif t > 0:
-            rows = slice(offsets[a], offsets[b])
-            stacks.append((slice(a, b) if one_query else rows, rows, (b - a, 1 if one_query else t, t), None))
+    stacks = []   # (query rows, key rows, n, query rows per sequence, t)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if lengths[a] > 0:
+            keys = slice(offsets[a], offsets[b])
+            stacks.append((slice(a, b) if one_query else keys, keys, b - a, 1 if one_query else lengths[a], lengths[a]))
 
     def split(a, rows, n, t):  # rows of (rows, D) as (H, n, t, dh)
         return a[rows].reshape(n, t, heads, dh).transpose(2, 0, 1, 3)
@@ -448,31 +423,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
     def merge(a):  # (H, n, t, dh) -> (n * t, D)
         return a.transpose(1, 2, 0, 3).reshape(a.shape[1] * a.shape[2], -1)
 
-    def valid(shape, lens):  # the key positions that are not padding, (n, 1, T)
-        return None if lens is None else (np.arange(shape[2]) < lens[:, None])[:, None, :]
-
     keep, probs = _wants_grad(q, k, v), []
     out = np.zeros((q.shape[0], v.shape[1]), dtype=np.result_type(q.data, k.data, v.data))
-    for qi, ki, (n, tq, t), lens in stacks:
+    for qi, ki, n, tq, t in stacks:
         p = _mm(split(q.data, qi, n, tq), split(k.data, ki, n, t).swapaxes(-1, -2))
         p *= scale
-        out[qi] = merge(_mm(_softmax_(p, valid((n, tq, t), lens), lens), split(v.data, ki, n, t)))
+        out[qi] = merge(_mm(_softmax_(p), split(v.data, ki, n, t)))
         if keep:
             probs.append(p)
     out = Tensor(out)
     if keep:
         def bwd(g, q=q, k=k, v=v):
             gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
-            for (qi, ki, (n, tq, t), lens), p in zip(stacks, probs):
-                real = slice(None) if lens is None else valid((n, tq, t), lens).reshape(-1)
-                kr = ki if lens is None else ki[real]
+            for (qi, ki, n, tq, t), p in zip(stacks, probs):
                 gi = split(g, qi, n, tq)
-                gv[kr] = merge(_mm(p.swapaxes(-1, -2), gi))[real]
+                gv[ki] = merge(_mm(p.swapaxes(-1, -2), gi))
                 dp = _mm(gi, split(v.data, ki, n, t).swapaxes(-1, -2))
-                ds = p * (dp - _row_sums(dp * p, lens))
+                ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
                 ds *= scale
                 gq[qi] = merge(_mm(ds, split(k.data, ki, n, t)))
-                gk[kr] = merge(_mm(split(q.data, qi, n, tq).swapaxes(-1, -2), ds).swapaxes(-1, -2))[real]
+                gk[ki] = merge(_mm(split(q.data, qi, n, tq).swapaxes(-1, -2), ds).swapaxes(-1, -2))
             for t, gt in zip((q, k, v), (gq, gk, gv)):
                 if t.requires_grad:
                     t._accumulate(gt)

@@ -128,7 +128,6 @@ class MultiHeadSelfAttention:
                  cls_only: bool = False):
         if dim % heads != 0:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         self.cls_only = cls_only

@@ -20,7 +20,7 @@ from .data import (VideoRecord, filter_by_duration, load_manifest,
 from .errors import ConfigError, DataError, NumericError
 from .metrics import format_table, to_csv
 from .mmf import import_npy, read_json, write_atomic, write_mmf
-from .models import ModelConfig, predict
+from .models import ARCHITECTURES, ModelConfig, predict
 from .modalities import default_modalities
 from .checkpoint import load_checkpoint
 from .rng import SeededRng, derive_seed
@@ -279,7 +279,7 @@ def cmd_frames_sweep(args) -> int:
 
 def _add_train_args(p: argparse.ArgumentParser):
     p.add_argument("--config", help="TrainConfig JSON file")
-    p.add_argument("--preset", choices=("mlp", "single_transformer", "multi_transformer"))
+    p.add_argument("--preset", choices=ARCHITECTURES)
     p.add_argument("--modalities", help="comma-separated subset, e.g. clip,ocr")
     p.add_argument("--averaged", help="comma-separated temporally averaged modalities")
     p.add_argument("--epochs", type=int)

@@ -11,13 +11,14 @@ feature sequences in, 21 genre logits out.
   averaged, projected vector directly.
 
 The heads read only the CLS row of the last encoder layer, so that layer
-computes that row alone (``cls_only``), with keys and values from every token.
-Each sample's tokens are packed rows of one (N, D) matrix and attend over
-their own sample alone, so nothing is computed on padding.
+computes that row alone (``cls_only``), with keys and values from every token;
+``num_layers`` >= 1, so every encoder stack ends in one. Each sample's tokens
+are packed rows of one (N, D) matrix and attend over their own sample alone,
+so nothing is computed on padding.
 
-Sequences longer than a modality's learned positional table are truncated
-to the table length on the transformer paths (the tables bound usable
-positions); the MLP path always consumes the full duration.
+Training batches cut every stream to its ``train_max_len``, so the MLP trains
+on the means of those heads; only scoring reads full sequences, which the MLP
+averages whole and the transformers still cut to their positional tables.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -27,20 +28,19 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, no_grad
-from .data import Batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
+from .data import Batch, make_batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
 from .errors import ConfigError, DataError, config_field
 from .modalities import ModalitySpec, default_modalities
 from .nn import Linear, ParameterStore, Segments, TransformerEncoderLayer, init_embedding
 from .rng import SeededRng, derive_seed
 from .vocab import NUM_GENRES
 
-ARCHITECTURES = ("mlp", "single_transformer", "multi_transformer")
-
 PRESETS = {
     "mlp": {"model_dim": 256, "num_layers": 1, "num_heads": 1},
     "single_transformer": {"model_dim": 256, "num_layers": 2, "num_heads": 8},
     "multi_transformer": {"model_dim": 128, "num_layers": 1, "num_heads": 8},
 }
+ARCHITECTURES = tuple(PRESETS)
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.model_dim < 1 or self.num_heads < 1:
-            raise ConfigError(f"model_dim and num_heads must be >= 1, got {self.model_dim} and {self.num_heads}")
+        if min(self.model_dim, self.num_layers, self.num_heads) < 1:
+            raise ConfigError(f"model_dim, num_layers and num_heads must be >= 1, "
+                              f"got {self.model_dim}, {self.num_layers} and {self.num_heads}")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not 0 <= self.threshold <= 1:
@@ -122,6 +123,13 @@ class _Model:
 
 
 class _TransformerModel(_Model):
+    def _encoder(self, prefix: str, rng: SeededRng) -> list:
+        """One encoder stack: ``num_layers`` layers ``<prefix>.<i>``, the last of them ``cls_only``."""
+        cfg = self.config
+        return [TransformerEncoderLayer(self.params, f"{prefix}.{i}", cfg.model_dim, cfg.num_heads,
+                                        cfg.dropout_rate, rng, cls_only=i == cfg.num_layers - 1)
+                for i in range(cfg.num_layers)]
+
     def _pack(self, batch: Batch, parts):
         """Each sample's sequence as packed rows: per (marker, spec) of ``parts``
         that marker, then (unless spec is None) the stream's head cut to its
@@ -157,7 +165,7 @@ class _TransformerModel(_Model):
         """Each sample's CLS row after ``layers``, the last of which computes only those. (B, D)"""
         for layer in layers:
             x = layer(x, seg, train, rng)
-        return ag.take(x, seg.rank if layers else seg.starts)
+        return ag.take(x, seg.rank)
 
 
 class MlpModel(_Model):
@@ -189,11 +197,7 @@ class SingleTransformerModel(_TransformerModel):
             self.params.add(f"pos.{spec.name}", init_embedding(rng, (spec.train_max_len, cfg.model_dim)))
             self.params.add(f"sep.{spec.name}", init_embedding(rng, (cfg.model_dim,)))
         self.params.add("cls", init_embedding(rng, (cfg.model_dim,)))
-        self.layers = [
-            TransformerEncoderLayer(self.params, f"enc.{i}", cfg.model_dim, cfg.num_heads, cfg.dropout_rate, rng,
-                                    cls_only=i == cfg.num_layers - 1)
-            for i in range(cfg.num_layers)
-        ]
+        self.layers = self._encoder("enc", rng)
         self.head = Linear(self.params, "head", cfg.model_dim, NUM_GENRES, rng)
 
     def _assemble(self, batch: Batch):
@@ -218,11 +222,7 @@ class MultiTransformerModel(_TransformerModel):
             if not spec.temporal_average:
                 self.params.add(f"pos.{spec.name}", init_embedding(rng, (spec.train_max_len, cfg.model_dim)))
                 self.params.add(f"cls.{spec.name}", init_embedding(rng, (cfg.model_dim,)))
-                self.encoders[spec.name] = [
-                    TransformerEncoderLayer(self.params, f"enc.{spec.name}.{i}", cfg.model_dim,
-                                            cfg.num_heads, cfg.dropout_rate, rng, cls_only=i == cfg.num_layers - 1)
-                    for i in range(cfg.num_layers)
-                ]
+                self.encoders[spec.name] = self._encoder(f"enc.{spec.name}", rng)
         self.head = Linear(self.params, "head", cfg.model_dim * len(cfg.modalities), NUM_GENRES, rng)
 
     def forward(self, batch: Batch, train: bool = False, rng: SeededRng = None) -> Tensor:
@@ -258,7 +258,6 @@ def predict_scores(model: _Model, batch: Batch) -> np.ndarray:
 def predict(model: _Model, record, threshold: float = None):
     """Probabilities and threshold decisions for one record at its full
     duration. A probability equal to the threshold counts as positive."""
-    from .data import make_batch
     if threshold is None:
         threshold = model.config.threshold
     batch = make_batch([record], model.config.modalities, lengths="full")

@@ -34,9 +34,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self):
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 

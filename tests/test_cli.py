@@ -312,6 +312,18 @@ class TestConfigChecks:
         assert "threshold must be in [0, 1], got 7.0" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("arch", ["mlp", "single_transformer", "multi_transformer"])
+    def test_num_layers_below_one_is_config_error(self, mean_data, tmp_path, capsys, arch):
+        cfg = small_train_config(tmp_path, arch=arch)
+        doc = json.load(open(cfg))
+        doc["model"]["num_layers"] = 0
+        json.dump(doc, open(cfg, "w"))
+        rc = main(["train", "--config", cfg, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "num_layers" in err and "Traceback" not in err
+        assert not (tmp_path / "x" / "best.json").exists()
+
     @pytest.mark.parametrize("flags", [["--max-steps", "0"], ["--epochs", "0"]])
     def test_run_without_steps_exits_zero(self, mean_data, tmp_path, capsys, flags):
         out = str(tmp_path / "x")
@@ -433,10 +445,11 @@ class TestEvalPredict:
         (("parameters", 0, "shape"), "16"),
         (("parameters", 0), "hidden.w"),
         (("parameters", 0), DROP),
+        (("config", "num_layers"), 0),
     ], ids=["top-level-list", "no-parameters", "parameters-not-a-list", "no-config", "config-not-an-object",
             "config-without-architecture", "modality-not-an-object", "entry-without-name",
             "entry-without-shape", "entry-without-offset", "negative-offset", "negative-shape",
-            "shape-not-a-list", "entry-not-an-object", "missing-parameter"])
+            "shape-not-a-list", "entry-not-an-object", "missing-parameter", "no-encoder-layers"])
     def test_malformed_checkpoint_is_data_error(self, mean_data, trained, tmp_path, capsys, keys, value):
         stem = str(tmp_path / "ck")
         shutil.copy(os.path.join(trained, "best.bin"), stem + ".bin")

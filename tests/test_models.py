@@ -77,6 +77,7 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("overrides", [{"num_heads": 0}, {"model_dim": 0}, {"model_dim": -8},
+                                           {"num_layers": 0}, {"num_layers": -1},
                                            {"dropout_rate": 1.0}, {"dropout_rate": 1.5}, {"dropout_rate": -0.1},
                                            {"dropout_rate": float("nan")}, {"threshold": -0.1}, {"threshold": 1.5},
                                            {"threshold": float("nan")}, {"positive_weight": 0.0},
@@ -87,6 +88,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("path, value", [
         (("model_dim",), "x"), (("model_dim",), True), (("model_dim",), 8.0), (("num_layers",), None),
+        (("num_layers",), 0),
         (("num_heads",), "2"), (("dropout_rate",), "0.1"), (("dropout_rate",), float("inf")),
         (("threshold",), False), (("architecture",), 3), (("modalities",), {}), (("modalities", 0), "clip"),
         (("modalities", 0, "name"), 5), (("modalities", 0, "input_dim"), True),

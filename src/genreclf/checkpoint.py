@@ -6,7 +6,10 @@ is the concatenation of all parameters as little-endian float32 in manifest
 order. Loading validates the document, names, shapes and blob length.
 
 Each file is replaced atomically, the blob first. Every save of one model
-writes the same JSON, so a save that fails part way leaves a loadable pair.
+writes the same JSON, so a save that fails part way leaves a loadable pair,
+and after the first save the JSON is left untouched. Blobs are read by copy,
+so their writes recycle: ``<stem>.bin.tmp`` keeps the previous generation
+and the next save overwrites it in place (see ``write_atomic``).
 """
 
 import hashlib
@@ -27,10 +30,12 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 def write_blob(bin_path: str, arrays: dict[str, np.ndarray]) -> tuple[list[dict], str]:
     """Write ``arrays`` as one little-endian float32 blob; return the manifest
-    that ``read_blob`` takes to read them back and the blob's SHA-256."""
+    that ``read_blob`` takes to read them back and the blob's SHA-256. The
+    replaced blob is recycled as ``<bin_path>.tmp``, the next write's scratch
+    file, which may be deleted at any time."""
     raws = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays.values()]
     blob = b"".join(raws)
-    write_atomic(bin_path, blob)
+    write_atomic(bin_path, blob, recycle=True)
     offsets = itertools.accumulate((len(raw) for raw in raws), initial=0)
     return [{"name": name, "shape": list(arr.shape), "offset": offset}
             for (name, arr), offset in zip(arrays.items(), offsets)], hashlib.sha256(blob).hexdigest()
@@ -51,6 +56,8 @@ def save_checkpoint(model, stem: str) -> str:
 
 
 def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[str, np.ndarray]:
+    """The arrays ``manifest`` describes in the blob at ``bin_path``, as
+    read-only views of one in-memory copy of it."""
     if not isinstance(manifest, list):
         raise DataError(f"{bin_path}: the parameter manifest is not a list")
     with open(bin_path, "rb") as fh:
@@ -69,7 +76,7 @@ def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[s
         end = start + 4 * count
         if end > len(blob):
             raise DataError(f"{bin_path}: blob too short for {name} (need byte {end}, have {len(blob)})")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape).copy()
+        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
     return arrays
 
 

@@ -20,6 +20,7 @@ Every file the package writes goes through ``write_atomic``, and every JSON
 document it reads through ``read_json``.
 """
 
+import contextlib
 import json
 import mmap
 import os
@@ -33,6 +34,7 @@ MAGIC = b"MMF1"
 FORMAT_VERSION = 1
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
+_COMPARE_CHUNK = 1 << 20   # bytes read per step when comparing a file with new data
 
 
 def write_mmf(features: dict[str, np.ndarray], path: str):
@@ -60,13 +62,62 @@ def write_mmf(features: dict[str, np.ndarray], path: str):
     write_atomic(path, b"".join(blobs))
 
 
-def write_atomic(path: str, data: bytes):
-    """Write ``data`` to a temporary file and move it over ``path``, so a
-    write that fails part way leaves any previous ``path`` whole."""
+def write_atomic(path: str, data: bytes, *, recycle: bool = False):
+    """Write ``data`` to ``<path>.tmp`` and move it over ``path``, so a write
+    that fails part way leaves any previous ``path`` whole. A ``path`` that
+    already holds exactly ``data`` is left untouched.
+
+    Freeing a replaced file's blocks can cost far more than writing the new
+    one (tens of milliseconds or more per file, even a 1-byte one, on an
+    ext4 disk mounted with ``discard``). With ``recycle`` the replaced file
+    becomes ``<path>.tmp`` and the next write overwrites it in place, so
+    writes of one size allocate and free no blocks: ``path`` is hard-linked
+    to ``<path>.swap`` for the move, and the link is then renamed to
+    ``<path>.tmp``, so ``path`` always names a complete file and no file
+    loses its last name. A scratch file with other names (a hard-linked
+    snapshot) is never overwritten, and where hard links fail the write is
+    a plain replace. Only for files read by copy: a reader holding ``path``
+    open sees it change two writes later.
+    """
+    if _holds(path, data):
+        return
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    reuse = False
+    if recycle:
+        with contextlib.suppress(FileNotFoundError):
+            reuse = os.stat(tmp).st_nlink == 1
+            if not reuse:
+                os.remove(tmp)
+    with open(tmp, "r+b" if reuse else "wb") as fh:
         fh.write(data)
+        fh.truncate()
+    if recycle:
+        swap = path + ".swap"
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(swap)   # left by a write that stopped after taking the link
+        try:
+            os.link(path, swap)
+        except OSError:   # no previous generation, or no hard links here
+            recycle = False
     os.replace(tmp, path)
+    if recycle:
+        os.replace(swap, tmp)
+
+
+def _holds(path: str, data: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``data``; reads stop at the
+    first chunk that differs."""
+    try:
+        if os.stat(path).st_size != len(data):
+            return False
+        view = memoryview(data)
+        with open(path, "rb") as fh:
+            for lo in range(0, len(data), _COMPARE_CHUNK):
+                if fh.read(_COMPARE_CHUNK) != view[lo:lo + _COMPARE_CHUNK]:
+                    return False
+    except FileNotFoundError:
+        return False
+    return True
 
 
 def read_json(path: str):
@@ -81,8 +132,9 @@ def read_json(path: str):
 def read_mmf(path: str) -> dict[str, np.ndarray]:
     """Read a .mmf file into a modality -> float32 array mapping of read-only
     views of the mapped file, which stays mapped while any view lives.
-    Replacing the file through ``write_atomic`` leaves the views intact;
-    truncating it in place makes a later access fault (SIGBUS)."""
+    Replacing the file through ``write_atomic`` leaves the views intact, as
+    long as the write does not ``recycle``; truncating it in place makes a
+    later access fault (SIGBUS)."""
     with open(path, "rb") as fh:
         try:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)

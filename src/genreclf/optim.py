@@ -86,5 +86,5 @@ class Adam:
         check_arrays(arrays, {f"{k}.{name}": s for k in "mv" for name, s in shapes.items()}, "Adam moment")
         self.t = int(t)
         for name in self.store.names():
-            self.m[name] = np.asarray(arrays[f"m.{name}"], dtype=self.store.dtype).copy()
-            self.v[name] = np.asarray(arrays[f"v.{name}"], dtype=self.store.dtype).copy()
+            self.m[name] = np.array(arrays[f"m.{name}"], dtype=self.store.dtype, order="C")
+            self.v[name] = np.array(arrays[f"v.{name}"], dtype=self.store.dtype, order="C")

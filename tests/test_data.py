@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from genreclf.data import (VideoRecord, filter_by_duration, load_manifest, make_batch,
                            split_dataset, temporal_average, write_manifest)
 from genreclf.errors import DataError, MmfFormatError
-from genreclf.mmf import import_npy, read_mmf, write_mmf
+from genreclf.mmf import import_npy, read_mmf, write_atomic, write_mmf
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec, default_modalities
 from genreclf.rng import SeededRng
 from genreclf.vocab import GENRES
@@ -337,6 +337,22 @@ class TestMappedRecords:
             assert all(np.array_equal(h, b) for h, b in zip(heads, before[name]))
         assert np.all(make_batch([records[0][1]], SMALL_SPECS).heads["clip"][0] == 7.0)
 
+    def test_views_survive_rewrites_because_mmf_writes_never_recycle(self, tmp_path):
+        path = str(tmp_path / "v.mmf")
+        first = np.arange(12, dtype=np.float32).reshape(3, 4)
+        write_mmf({"clip": first}, path)
+        view = read_mmf(path)["clip"]
+        for k in (1, 2, 3):
+            write_mmf({"clip": first + k}, path)
+        assert np.array_equal(view, first)
+        assert np.array_equal(read_mmf(path)["clip"], first + 3)
+        # a recycling writer would overwrite the mapped file in place at its second write
+        view = read_mmf(path)["clip"]
+        for k in (4, 5):
+            write_mmf({"clip": first + k}, str(tmp_path / "next.mmf"))
+            write_atomic(path, (tmp_path / "next.mmf").read_bytes(), recycle=True)
+        assert np.array_equal(view, first + 5)
+
     def test_clip_frames_select_rows_of_either_source(self, tmp_path):
         (mem, disk), = self._on_disk(tmp_path, 1)
         idx = np.array([0, 2, 3])
@@ -346,6 +362,23 @@ class TestMappedRecords:
             assert np.array_equal(feats["clip"], mem.features["clip"][idx])
             assert feats["ocr"] is not None and np.array_equal(feats["ocr"], mem.features["ocr"])
         assert mem.features["clip"].shape[0] == 4 and disk.features is None
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_identical_bytes_leave_the_file_untouched(self, tmp_path, recycle):
+        path = str(tmp_path / "f.bin")
+        data = bytes(range(256)) * 5000   # spans two comparison chunks
+        write_atomic(path, data, recycle=recycle)
+        before = os.stat(path)
+        write_atomic(path, data, recycle=recycle)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        changed = data[:-1] + b"\x00"
+        write_atomic(path, changed, recycle=recycle)
+        assert os.stat(path).st_ino != before.st_ino
+        with open(path, "rb") as fh:
+            assert fh.read() == changed
 
 
 class TestNpyImport:

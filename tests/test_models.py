@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import genreclf.autograd as ag
 import genreclf.mmf as mmf
 import genreclf.training as training
 from genreclf.autograd import Tensor, no_grad
-from genreclf.checkpoint import load_checkpoint, save_checkpoint
+from genreclf.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from genreclf.data import Batch, VideoRecord, make_batch, temporal_average
 from genreclf.errors import ConfigError, DataError
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec
@@ -636,9 +639,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("failing_write, survivor_seed", [(1, 35), (2, 36)], ids=["in-blob", "in-json"])
     def test_failed_save_leaves_a_loadable_pair(self, tmp_path, monkeypatch, failing_write, survivor_seed):
-        # The blob is written before its JSON, and both JSON documents are the
-        # same: a save cut short in the blob keeps the old pair, one cut short
-        # in the JSON has already committed the new blob.
+        # The blob is written before its JSON, and the two JSON documents
+        # differ only in the threshold, which the parameter manifest does not
+        # depend on: a save cut short in the blob keeps the old pair, one cut
+        # short in the JSON has already committed the new blob.
         stem = str(tmp_path / "best")
         save_checkpoint(build_model(toy_config("mlp"), seed=35), stem)
         opened = []
@@ -658,14 +662,109 @@ class TestCheckpoint:
                 raise OSError("disk full")
 
         def failing_open(path, mode="r"):
-            opened.append(path)
             fh = open(path, mode)
+            if not set(mode) & set("wa+"):
+                return fh
+            opened.append(path)
             return HalfWrite(fh) if len(opened) == failing_write else fh
 
         monkeypatch.setattr(mmf, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(build_model(toy_config("mlp"), seed=36), stem)
+            save_checkpoint(build_model(dataclasses.replace(toy_config("mlp"), threshold=0.25), seed=36), stem)
         monkeypatch.undo()
         loaded = load_checkpoint(stem)
         for name, t in build_model(toy_config("mlp"), seed=survivor_seed).params.items():
             assert np.array_equal(t.data, loaded.params[name].data)
+
+    def test_blob_arrays_are_read_only_and_loaded_parameters_writable(self, tmp_path):
+        model = build_model(toy_config("single_transformer"), seed=37)
+        stem = str(tmp_path / "ck")
+        save_checkpoint(model, stem)
+        _, arrays = read_checkpoint(stem)
+        assert arrays and not any(a.flags.writeable for a in arrays.values())
+        loaded = load_checkpoint(stem)
+        for name, t in model.params.items():
+            data = loaded.params[name].data
+            assert data.flags.writeable and data.flags.c_contiguous
+            assert data.dtype == t.data.dtype and data.tobytes() == t.data.tobytes()
+
+    def test_changing_saves_reload_bit_for_bit_and_recycle_the_replaced_blob(self, tmp_path):
+        stem = str(tmp_path / "best")
+        inodes = []
+        for seed, dim in ((40, 8), (41, 8), (42, 4)):   # the last blob is shorter than the one it overwrites
+            model = build_model(toy_config("mlp", dim=dim), seed=seed)
+            save_checkpoint(model, stem)
+            assert_same_parameters(load_checkpoint(stem), model)
+            assert os.path.getsize(stem + ".bin") == 4 * model.parameter_count()
+            if inodes:
+                assert os.stat(stem + ".bin.tmp").st_ino == inodes[-1]
+            inodes.append(os.stat(stem + ".bin").st_ino)
+            assert not os.path.exists(stem + ".bin.swap")
+        assert inodes[0] == inodes[2] != inodes[1]   # two files take turns; none is freed
+
+    def test_hard_linked_snapshot_keeps_its_bytes(self, tmp_path):
+        stem = str(tmp_path / "best")
+        snapshot = tmp_path / "snapshot.bin"
+        for seed in (43, 44):
+            save_checkpoint(build_model(toy_config("mlp"), seed=seed), stem)
+        os.link(stem + ".bin", snapshot)
+        kept = snapshot.read_bytes()
+        for seed in (45, 46, 47):
+            save_checkpoint(build_model(toy_config("mlp"), seed=seed), stem)
+            assert snapshot.read_bytes() == kept
+        scratch = os.stat(stem + ".bin.tmp")
+        assert scratch.st_nlink == 1 and scratch.st_ino != os.stat(snapshot).st_ino
+
+    @pytest.mark.parametrize("step, survivor_seed", [("scratch", 49), ("link", 49), ("replace", 50)],
+                             ids=["half-written-scratch", "after-link", "after-replace"])
+    def test_recycled_write_stopped_at_each_step(self, tmp_path, monkeypatch, step, survivor_seed):
+        stem = str(tmp_path / "best")
+        for seed in (48, 49):   # the second save leaves a scratch file to recycle
+            save_checkpoint(build_model(toy_config("mlp"), seed=seed), stem)
+        real_open, real_replace = open, os.replace
+
+        def stop():
+            raise OSError(f"injected failure {step}")
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                stop()
+
+        def open_(path, mode="r"):
+            fh = real_open(path, mode)
+            return HalfWrite(fh) if path == stem + ".bin.tmp" else fh
+
+        def replace(src, dst):
+            # the move over the blob follows the link; the rename back follows that move
+            if src == stem + {"link": ".bin.tmp", "replace": ".bin.swap"}[step]:
+                stop()
+            real_replace(src, dst)
+
+        if step == "scratch":
+            monkeypatch.setattr(mmf, "open", open_, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(build_model(toy_config("mlp"), seed=50), stem)
+        monkeypatch.undo()
+        assert_same_parameters(load_checkpoint(stem), build_model(toy_config("mlp"), seed=survivor_seed))
+        model = build_model(toy_config("mlp"), seed=51)
+        save_checkpoint(model, stem)
+        assert_same_parameters(load_checkpoint(stem), model)
+        assert not os.path.exists(stem + ".bin.swap")
+        assert os.stat(stem + ".bin.tmp").st_nlink == 1
+
+
+def assert_same_parameters(loaded, model):
+    for name, t in model.params.items():
+        assert loaded.params[name].data.tobytes() == t.data.tobytes()

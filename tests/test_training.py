@@ -298,10 +298,10 @@ class TestTrainer:
                                              seed=63, checkpoint_dir=part_dir), records, (), part_dir)
         write_atomic = training.write_atomic
 
-        def stop_at(path, data):
+        def stop_at(path, data, **kwargs):
             if os.path.basename(path) == failing:
                 raise OSError(f"injected failure writing {path}")
-            write_atomic(path, data)
+            write_atomic(path, data, **kwargs)
 
         monkeypatch.setattr(checkpoint, "write_atomic", stop_at)
         monkeypatch.setattr(training, "write_atomic", stop_at)
@@ -311,6 +311,21 @@ class TestTrainer:
         with pytest.raises(DataError, match="last.bin: the SHA-256 differs"):
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=63),
                            records, (), part_dir)
+
+    def test_resumed_parameters_and_moments_are_writable_copies(self, tmp_path):
+        records = mean_records(24, seed=69)
+        part_dir = str(tmp_path / "part")
+        cfg = TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=2, seed=71,
+                          checkpoint_dir=part_dir)
+        saved = Trainer(cfg, records)
+        saved.run()
+        resumed = Trainer.resume(cfg, records, (), part_dir)
+        for name, t in saved.model.params.items():
+            for before, after in ((t.data, resumed.model.params[name].data),
+                                  (saved.adam.m[name], resumed.adam.m[name]),
+                                  (saved.adam.v[name], resumed.adam.v[name])):
+                assert after.flags.writeable and after.flags.c_contiguous
+                assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
 
     def test_adam_state_of_another_step_is_refused(self, tmp_path):
         # same parameter names and shapes, so the manifest offsets still fit

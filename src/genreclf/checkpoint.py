@@ -99,8 +99,8 @@ def read_checkpoint(stem: str, sha256: str = None) -> tuple[ModelConfig, dict[st
 
 def load_checkpoint(stem: str):
     """Rebuild the model described by ``<stem>.json`` with the parameters
-    stored in ``<stem>.bin``."""
+    stored in ``<stem>.bin``, drawing no initial weights."""
     config, arrays = read_checkpoint(stem)
-    model = build_model(config, seed=0)
+    model = build_model(config, seed=None)
     model.params.load_arrays(arrays)
     return model

@@ -46,12 +46,15 @@ class Batch:
     batch length L of ``shapes[name] = (L, D)``. The padded (B, L, D)
     ``features`` and (B, L) ``masks`` (pad rows zero and False) are built
     together on first access and then kept; no model reads them.
-    ``means`` averages the heads' own rows.
+    ``means`` averages the heads' own rows. ``memos``, when set, holds one
+    dict per record that keeps each mean it computes, keyed by (modality,
+    rows averaged), for later batches of the same record to read.
     """
     heads: dict[str, list[np.ndarray]]
     shapes: dict[str, tuple[int, int]]
     labels: np.ndarray                # (B, 21) float32
     ids: list[str] = field(default_factory=list)
+    memos: list[dict] | None = None
 
     @property
     def size(self) -> int:
@@ -73,8 +76,16 @@ class Batch:
     def means(self, name: str, limit: int = None) -> np.ndarray:
         """(B, D) float32 temporal mean of each head, or of its first
         ``limit`` rows: bit-equal to ``temporal_average`` of the padded
-        batch, without building it."""
-        rows = [temporal_average(head[:limit]) for head in self.heads[name]]
+        batch, without building it. A mean in the record's memo is read
+        from it, and one computed is stored there read-only."""
+        heads = [head[:limit] for head in self.heads[name]]
+        rows = []
+        for head, memo in zip(heads, self.memos or [{} for _ in heads]):
+            key = (name, len(head))
+            if key not in memo:
+                memo[key] = temporal_average(head)
+                memo[key].flags.writeable = False
+            rows.append(memo[key])
         return np.stack(rows) if rows else np.zeros((0, self.shapes[name][1]), dtype=np.float32)
 
 
@@ -198,8 +209,9 @@ def temporal_average(seq: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
     ``seq`` is (..., T, D) with an optional (..., T) validity mask; the
     result is (..., D) float32, so a (B, T, D) batch gives (B, D). Without
     a mask every step is valid and the rows are summed as they are.
-    Accumulates in float64 before narrowing back so the result does not
-    depend on frame order.
+    Accumulates in float64, in row order, before narrowing back; float64
+    sums still depend on that order (``[1e20, -1e20, 1]`` averages to 1/3,
+    ``[1, 1e20, -1e20]`` to 0).
     """
     x = np.asarray(seq)
     valid = True if mask is None else np.asarray(mask, dtype=bool)[..., None]

@@ -110,10 +110,10 @@ def _check_modality(batch: Batch, spec: ModalitySpec):
 
 
 class _Model:
-    def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int | None, dtype=np.float32):
         self.config = config
         self.params = ParameterStore(dtype=dtype)
-        self._build(SeededRng(derive_seed(seed, "init")))
+        self._build(None if seed is None else SeededRng(derive_seed(seed, "init")))
 
     def parameter_count(self) -> int:
         return self.params.total_parameter_count()
@@ -244,7 +244,9 @@ _MODEL_CLASSES = {
 }
 
 
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> _Model:
+def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> _Model:
+    """A model initialised from ``seed``; with ``seed`` None every drawn
+    weight is zero and nothing is drawn, for parameters loaded next."""
     return _MODEL_CLASSES[config.architecture](config, seed, dtype=dtype)
 
 

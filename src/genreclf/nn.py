@@ -3,7 +3,8 @@ encoder layer over packed sequences, and the parameter registry they share.
 
 Initialization (seed-reproducible): linear weights uniform in
 +-1/sqrt(fan_in) with zero biases; positional/CLS/SEP embeddings from
-N(0, 0.02); layer-norm gains 1 and biases 0.
+N(0, 0.02); layer-norm gains 1 and biases 0. Without a generator
+(``rng`` None) the drawn weights are zero instead.
 """
 
 import numpy as np
@@ -71,15 +72,15 @@ def check_arrays(arrays: dict[str, np.ndarray], shapes: dict, what: str):
             raise DataError(f"shape mismatch for {name}: {np.shape(arrays[name])} vs {shape}")
 
 
-def init_linear(rng: SeededRng, fan_in: int, fan_out: int):
+def init_linear(rng: SeededRng | None, fan_in: int, fan_out: int):
     bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform((fan_in, fan_out), -bound, bound)
+    w = np.zeros((fan_in, fan_out)) if rng is None else rng.uniform((fan_in, fan_out), -bound, bound)
     b = np.zeros(fan_out)
     return w, b
 
 
-def init_embedding(rng: SeededRng, shape, std: float = 0.02):
-    return rng.normal(shape, 0.0, std)
+def init_embedding(rng: SeededRng | None, shape, std: float = 0.02):
+    return np.zeros(shape) if rng is None else rng.normal(shape, 0.0, std)
 
 
 class Linear:

@@ -140,7 +140,13 @@ def evaluate(model, records, threshold: float = None) -> MetricsReport:
 class Trainer:
     """Seeded minibatch loop: forward, weighted BCE, backward, global-norm
     clip, Adam. Epoch order comes from a per-epoch seed derived from
-    (config seed, epoch index); the final short minibatch is kept."""
+    (config seed, epoch index); the final short minibatch is kept.
+
+    ``memos`` holds one dict per training record, which its training batches
+    carry as ``Batch.memos``: the mean of each stream the model averages is
+    computed once per Trainer, not once per epoch, and kept as 4 * input_dim
+    bytes. A resumed Trainer starts with empty memos. Scoring batches carry
+    none, so scoring keeps nothing between batches."""
 
     def __init__(self, config: TrainConfig, train_records, val_records=()):
         config.check()
@@ -152,6 +158,7 @@ class Trainer:
         self.model = build_model(config.model, seed=config.seed)
         self.adam = Adam(self.model.params, lr=config.lr)
         self.dropout_rng = SeededRng(derive_seed(config.seed, "dropout"))
+        self.memos = [{} for _ in self.train_records]
         self.history = TrainHistory()
         self.global_step = 0
         self.epoch = 0
@@ -199,8 +206,10 @@ class Trainer:
             starts = list(range(0, n, bs))
             while self.step_in_epoch < len(starts) and self._step_budget_left():
                 lo = starts[self.step_in_epoch]
-                recs = [self.train_records[j] for j in order[lo:lo + bs]]
+                picked = order[lo:lo + bs]
+                recs = [self.train_records[j] for j in picked]
                 batch = make_batch(recs, cfg.model.modalities, lengths="train")
+                batch.memos = [self.memos[j] for j in picked]
                 loss = self._train_step(batch)
                 self.global_step += 1
                 self.step_in_epoch += 1

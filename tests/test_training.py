@@ -1,5 +1,7 @@
 import json
 import os
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import genreclf.autograd as ag
 import genreclf.checkpoint as checkpoint
+import genreclf.data as data
 import genreclf.training as training
 from genreclf.autograd import Tensor, backward, no_grad
 from genreclf.data import VideoRecord, make_batch
@@ -624,3 +627,116 @@ def test_float32_preset_stays_float32(arch, monkeypatch):
     with no_grad():
         assert trainer.model.forward(batch).dtype == np.float32
     assert predict_scores(trainer.model, batch).dtype == np.float32
+
+
+MEMO_SPECS = (ModalitySpec("clip", 12, 8), ModalitySpec("ocr", 10, 6, True), ModalitySpec("asr", 9, 7, True))
+MEMO_FILES = ("best.bin", "best.json", "last.bin", "last.json", "trainer_state.bin", "trainer_state.json")
+
+
+def memo_records(tmp_path, n=20, seed=81):
+    """``n`` on-disk MEMO_SPECS records whose streams run from empty to past
+    their training length."""
+    rng = SeededRng(seed)
+    records = []
+    for i in range(n):
+        feats = {s.name: rng.normal((int(rng.randint(0, s.train_max_len + 4)), s.input_dim)).astype(np.float32)
+                 for s in MEMO_SPECS}
+        path = str(tmp_path / f"m{i:03d}.mmf")
+        write_mmf(feats, path)
+        records.append(VideoRecord(f"m{i:03d}", 60.0, (("Action", "Drama", "Horror")[i % 3],), path=path))
+    return records
+
+
+class ForgetfulTrainer(Trainer):
+    """Empties every memo before each step, so each step averages its records anew."""
+
+    def _train_step(self, batch):
+        for memo in self.memos:
+            memo.clear()
+        return super()._train_step(batch)
+
+
+def memo_run(trainer_cls, records, out_dir, arch, **overrides):
+    """A 3-epoch run with validation and checkpoints: the trainer and its saved files' bytes."""
+    cfg = TrainConfig(model=small_config(arch, modalities=MEMO_SPECS), lr=1e-3, batch_size=6, epochs=3,
+                      eval_interval=2, seed=83, checkpoint_dir=out_dir, **overrides)
+    trainer = trainer_cls(cfg, records[:14], records[14:])
+    trainer.run()
+    return trainer, {f: open(os.path.join(out_dir, f), "rb").read() for f in MEMO_FILES}
+
+
+class TestStreamMeanMemo:
+    """Each training record's stream means are computed once per Trainer and
+    kept in its memo; scoring keeps nothing."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_memo_changes_no_bit(self, tmp_path, monkeypatch, arch, dtype):
+        monkeypatch.setattr(training, "build_model", partial(build_model, dtype=dtype))
+        records = memo_records(tmp_path)
+        kept, kept_files = memo_run(Trainer, records, str(tmp_path / "kept"), arch)
+        anew, anew_files = memo_run(ForgetfulTrainer, records, str(tmp_path / "anew"), arch)
+        assert len(kept.history.losses) == 9 and kept.history.losses == anew.history.losses
+        assert kept.dropout_rng.state() == anew.dropout_rng.state()
+        for name, t in kept.model.params.items():
+            assert t.data.dtype == dtype and t.data.tobytes() == anew.model.params[name].data.tobytes()
+        assert kept_files == anew_files
+
+    @pytest.mark.parametrize("arch, averaged", [("mlp", ("clip", "ocr", "asr")),
+                                                ("single_transformer", ("ocr", "asr")),
+                                                ("multi_transformer", ("ocr", "asr"))])
+    def test_each_mean_is_computed_once_and_kept_alone(self, tmp_path, monkeypatch, arch, averaged):
+        records = memo_records(tmp_path)
+        calls = []
+        real = data.temporal_average
+        monkeypatch.setattr(data, "temporal_average", lambda seq: calls.append(len(seq)) or real(seq))
+        cfg = TrainConfig(model=small_config(arch, modalities=MEMO_SPECS), lr=1e-3, batch_size=6, epochs=3, seed=85)
+        trainer = Trainer(cfg, records[:14])
+        trainer.run()
+        assert len(trainer.history.losses) == 9
+        assert len(calls) == 14 * len(averaged)   # once per record and stream, not once per epoch
+        specs = {s.name: s for s in MEMO_SPECS}
+        for r, memo in zip(trainer.train_records, trainer.memos):
+            feats = r.get_features()
+            assert sorted(memo) == sorted((name, min(len(feats[name]), specs[name].train_max_len)) for name in averaged)
+            for (name, rows), mean in memo.items():
+                assert mean.dtype == np.float32 and mean.shape == (specs[name].input_dim,)
+                assert not mean.flags.writeable and mean.flags.owndata
+                assert not any(np.shares_memory(mean, view) for view in feats.values())
+                assert mean.tobytes() == real(feats[name][:rows]).tobytes()
+        snapshot = [dict(memo) for memo in trainer.memos]
+        evaluate(trainer.model, records)
+        assert all(memo.keys() == before.keys() and all(memo[k] is before[k] for k in memo)
+                   for memo, before in zip(trainer.memos, snapshot))
+        assert len(calls) > 14 * len(averaged)   # scoring averaged anew
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_resume_starts_empty_and_stays_bit_exact(self, tmp_path, arch):
+        records = memo_records(tmp_path)
+        whole, whole_files = memo_run(Trainer, records, str(tmp_path / "whole"), arch)
+        part_dir = str(tmp_path / "part")
+        part, _ = memo_run(Trainer, records, part_dir, arch, max_steps=4)
+        resumed = Trainer.resume(replace(part.config, max_steps=None), records[:14], records[14:], part_dir)
+        assert len(resumed.memos) == 14 and all(memo == {} for memo in resumed.memos)
+        resumed.run()
+        assert resumed.history.losses == whole.history.losses
+        for name, t in whole.model.params.items():
+            assert t.data.tobytes() == resumed.model.params[name].data.tobytes()
+        for f in ("last.bin", "last.json", "trainer_state.bin", "trainer_state.json"):
+            assert open(os.path.join(part_dir, f), "rb").read() == whole_files[f], f
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_load_checkpoint_draws_no_initial_weights(tmp_path, monkeypatch, arch):
+    saved = build_model(small_config(arch), seed=87)
+    checkpoint.save_checkpoint(saved, str(tmp_path / "m"))
+
+    def no_draws(self, ks):
+        raise AssertionError("load_checkpoint drew initial weights")
+    monkeypatch.setattr(SeededRng, "_outputs", no_draws)
+    loaded = checkpoint.load_checkpoint(str(tmp_path / "m"))
+    assert loaded.params.names() == saved.params.names()
+    for name, t in saved.params.items():
+        got = loaded.params[name].data
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert got.dtype == np.float32 and got.tobytes() == t.data.tobytes()

@@ -206,15 +206,6 @@ def sigmoid_array(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(sigmoid_array(x.data))
-    if _wants_grad(x):
-        def bwd(g, x=x, y=out.data):
-            x._accumulate(g * y * (1.0 - y))
-        _record(out, bwd)
-    return out
-
-
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)) computed without overflow for large |x|."""
     d = x.data
@@ -366,29 +357,19 @@ def concat(tensors, axis: int) -> Tensor:
 # -- normalization / attention pieces -------------------------------------
 
 
-def _softmax_(p: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
+def _softmax_(p: np.ndarray) -> np.ndarray:
     """``softmax_rows`` of the array ``p``, computed in place in ``p``."""
-    if mask is not None:
-        np.copyto(p, -np.inf, where=np.logical_not(mask))
-    m = p.max(axis=-1, keepdims=True)
-    # a row with no valid entry has max -inf; 0 keeps p - m at -inf there
-    p -= np.where(np.isfinite(m), m, 0.0)
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    denom = p.sum(axis=-1, keepdims=True)
-    p /= np.where(denom > 0, denom, 1.0)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray = None) -> Tensor:
-    """Row-stable softmax over the last axis, with optional validity mask.
-
-    ``mask`` is a bool array that broadcasts against ``x``. Masked (pad)
-    entries are set to -inf before the row max is taken, so each comes out
-    as exp(-inf) = 0 exactly; each row of valid entries sums to 1. A row with
-    no valid entries comes out all zeros instead of producing NaNs, which
-    keeps gradients clean for fully-padded queries.
-    """
-    out = Tensor(_softmax_(x.data.copy(), mask))
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-stable softmax over the last axis: the row max is subtracted
+    before exponentiating, so each row of finite entries sums to 1. A -inf
+    entry comes out as 0 (an additive mask); a row needs one finite entry."""
+    out = Tensor(_softmax_(x.data.copy()))
     if _wants_grad(x):
         def bwd(g, x=x, y=out.data):
             dot = (g * y).sum(axis=-1, keepdims=True)

@@ -57,26 +57,37 @@ def save_checkpoint(model, stem: str) -> str:
 
 def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[str, np.ndarray]:
     """The arrays ``manifest`` describes in the blob at ``bin_path``, as
-    read-only views of one in-memory copy of it."""
+    read-only views of one in-memory copy of it. The entries must lie end
+    to end from byte 0, in manifest order, and fill the blob, as
+    ``write_blob`` lays them out, each under its own name."""
     if not isinstance(manifest, list):
         raise DataError(f"{bin_path}: the parameter manifest is not a list")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
     if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
         raise DataError(f"{bin_path}: the SHA-256 differs from the one recorded at save; a save stopped part way")
-    arrays = {}
+    arrays, end = {}, 0
     for entry in manifest:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
                 and all(type(n) is int and n >= 0 for n in [entry.get("offset"), *entry["shape"]])):
-            raise DataError(f"{bin_path}: manifest entry {entry!r} is not "
+            raise DataError(f"{bin_path}: manifest entry {entry!r:.80} is not "
                             "{name: string, shape: [int >= 0], offset: int >= 0}")
         name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        if name in arrays:
+            raise DataError(f"{bin_path}: the manifest names {name!r} twice")
+        if start != end:
+            raise DataError(f"{bin_path}: {name} starts at byte {start}, not where the entry before it ends ({end})")
         count = math.prod(shape)
         end = start + 4 * count
         if end > len(blob):
             raise DataError(f"{bin_path}: blob too short for {name} (need byte {end}, have {len(blob)})")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
+        try:
+            arrays[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
+        except ValueError as exc:   # more axes than numpy allows, or an axis past its index range
+            raise DataError(f"{bin_path}: {name} cannot take the shape {shape!r:.80}: {exc}")
+    if end != len(blob):
+        raise DataError(f"{bin_path}: the manifest ends at byte {end} but the blob has {len(blob)}")
     return arrays
 
 

@@ -104,7 +104,7 @@ def load_manifest(path: str) -> list[VideoRecord]:
     doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise DataError(f"{path}: manifest has no \"samples\" list")
-    if tuple(doc.get("genres", ())) != GENRES:
+    if doc.get("genres") != list(GENRES):
         raise DataError(f"{path}: manifest genre vocabulary does not match the fixed 21-genre list")
     base = os.path.dirname(os.path.abspath(path))
     records = []

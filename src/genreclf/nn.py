@@ -103,7 +103,7 @@ class Segments:
     """Sequences packed shortest first into the rows of one (N, D) matrix, from
     the (B, T) validity mask of their padded layout: ``rows`` holds each row's
     padded position b * T + t, packed sequence j is rows offsets[j]:offsets[j+1],
-    and sample b is packed sequence ``rank[b]``, starting at row ``starts[b]``."""
+    and sample b is packed sequence ``rank[b]``."""
 
     def __init__(self, mask: np.ndarray):
         lengths = mask.sum(axis=1)
@@ -111,7 +111,6 @@ class Segments:
         self.padded_rows = mask.size
         self.offsets = np.concatenate(([0], np.cumsum(lengths[order])))
         self.rank = np.argsort(order)
-        self.starts = self.offsets[self.rank]
         b, t = np.nonzero(mask[order])
         self.rows = order[b] * mask.shape[1] + t
 

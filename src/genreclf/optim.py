@@ -39,13 +39,11 @@ class Adam:
     block, through two scratch rows of this instance.
     """
 
-    def __init__(self, store: ParameterStore, lr: float = 1e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8   # fixed: a resume does not record them
+
+    def __init__(self, store: ParameterStore, lr: float = 1e-5):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in store.items()}

@@ -64,7 +64,8 @@ class SeededRng:
     """Counter-based splitmix64 stream with serializable state.
 
     State is just ``(seed, counter)``; restoring both resumes the stream
-    exactly, which is what makes checkpoint-resume bit-identical.
+    exactly, which is what makes checkpoint-resume bit-identical. Both are
+    uint64: the counter wraps, as the stream's arithmetic does.
     """
 
     def __init__(self, seed: int, counter: int = 0):
@@ -87,7 +88,7 @@ class SeededRng:
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 outputs."""
         out = self._outputs(np.arange(1, n + 1, dtype=np.uint64))
-        self.counter += n
+        self.counter = (self.counter + n) & _MASK64
         return out
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -105,7 +106,7 @@ class SeededRng:
         ks = (np.asarray(rows, dtype=np.uint64)[:, None] * np.uint64(inner)
               + np.arange(1, inner + 1, dtype=np.uint64))
         u = (self._outputs(ks.ravel()) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        self.counter += int(np.prod(shape))
+        self.counter = (self.counter + int(np.prod(shape))) & _MASK64
         return u.reshape((len(rows),) + tuple(shape[1:]))
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:

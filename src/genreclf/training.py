@@ -292,8 +292,9 @@ _STATE_FIELDS = {
     "step_in_epoch": (_is_count, "an integer >= 0"),
     "adam_t": (_is_count, "an integer >= 0"),
     "adam_manifest": (lambda v: isinstance(v, list), "a list"),
-    "dropout_rng": (lambda v: isinstance(v, dict) and all(_is_count(v.get(k)) for k in ("seed", "counter")),
-                    "{seed: integer >= 0, counter: integer >= 0}"),
+    "dropout_rng": (lambda v: isinstance(v, dict)
+                    and all(_is_count(v.get(k)) and v[k] < 2**64 for k in ("seed", "counter")),
+                    "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
     "best_step": (lambda v: type(v) is int, "an integer"),
     "best_map": (lambda v: v is None or _is_number(v), "a number or null"),
     "losses": (lambda v: isinstance(v, list) and all(

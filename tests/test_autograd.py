@@ -148,37 +148,10 @@ class TestSoftmax:
             assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all((y >= 0) & (y <= 1))
 
-    def test_masked_rows(self):
-        x = Tensor(np.arange(8, dtype=np.float64).reshape(2, 4))
-        mask = np.array([[True, False, True, False], [False, False, False, False]])
-        y = ag.softmax_rows(x, mask).data
-        assert y[0, 1] == 0.0 and y[0, 3] == 0.0
-        assert np.isclose(y[0].sum(), 1.0)
-        assert np.array_equal(y[1], np.zeros(4))    # fully masked row: zeros, not NaN
-
-    @settings(max_examples=200, deadline=None)
-    @example((np.arange(12, dtype=np.float32).reshape(2, 1, 2, 3),
-              np.array([[True, True, True], [False, False, False]]).reshape(2, 1, 1, 3)))
-    @example((np.full((1, 2, 3, 4), -1e30), np.zeros((1, 1, 1, 4), bool)))
-    @example((np.full((1, 1, 2, 3), 88.0, np.float32), np.ones((1, 1, 1, 3), bool)))
-    @given(st.tuples(st.sampled_from((np.float32, np.float64)), st.integers(1, 3), st.integers(1, 2),
-                     st.integers(1, 4), st.integers(1, 7)).flatmap(
-        lambda s: st.tuples(hnp.arrays(s[0], s[1:], elements=st.floats(-1e4, 1e4, width=np.dtype(s[0]).itemsize * 8)),
-                            hnp.arrays(np.bool_, (s[1], 1, 1, s[4])))))
-    def test_key_mask_property(self, case):
-        # (B, 1, 1, T) key masks as attention passes them: any pattern,
-        # all-False rows included
-        x, mask = case
-        y = ag.softmax_rows(Tensor(x), mask).data
-        assert y.dtype == x.dtype and y.shape == x.shape
-        valid = np.broadcast_to(mask, x.shape)
-        assert np.all(y[~valid] == 0.0)
-        has_key = valid.any(axis=-1)
-        row_sums = y.sum(axis=-1)[has_key]
-        assert np.allclose(row_sums, 1.0, rtol=0, atol=10 * np.finfo(x.dtype).eps * x.shape[-1])
-        assert not np.isnan(y).any() and np.all(y[~has_key] == 0.0)
-        all_true = ag.softmax_rows(Tensor(x), np.ones_like(mask)).data
-        assert all_true.tobytes() == ag.softmax_rows(Tensor(x)).data.tobytes()
+    def test_minus_inf_entries_come_out_zero(self):
+        # an additive mask: the row's finite entries share the whole mass
+        y = ag.softmax_rows(Tensor([[1.0, -np.inf, 1.0]], dtype=np.float64)).data
+        assert y.tolist() == [[0.5, 0.0, 0.5]]
 
 
 def _chain_attention(q, k, v, heads, offsets, one_query):
@@ -356,14 +329,9 @@ OPS = {
     "batched_matmul": (lambda a, b: ag.tsum(ag.matmul(a, b)),
                        lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 2))]),
     "relu": (lambda a: ag.tsum(ag.relu(a)), lambda rng: [_rand(rng, (5, 5))]),
-    "sigmoid": (lambda a: ag.tsum(ag.sigmoid(a)), lambda rng: [_rand(rng, (5,))]),
     "softplus": (lambda a: ag.tsum(ag.softplus(a)), lambda rng: [_rand(rng, (5,))]),
     "softmax": (lambda a: ag.tsum(ag.mul(ag.softmax_rows(a), np.arange(6.0).reshape(2, 3))),
                 lambda rng: [_rand(rng, (2, 3))]),
-    "masked_softmax": (
-        lambda a: ag.tsum(ag.mul(ag.softmax_rows(a, np.array([[True, True, False]])),
-                                 np.arange(3.0))),
-        lambda rng: [_rand(rng, (1, 3))]),
     "attention": (lambda q, k, v: ag.tsum(ag.mul(ag.attention(q, k, v, 2, np.array([0, 2, 2, 5])),
                                                   np.arange(20.0).reshape(5, 4) / 10.0)),
                   lambda rng: [_rand(rng, (5, 4)) for _ in range(3)]),
@@ -457,6 +425,6 @@ class TestTake:
 def test_finite_outputs_on_finite_inputs():
     rng = SeededRng(8)
     x = Tensor(rng.normal((4, 6), 0.0, 50.0), dtype=np.float32)
-    for out in (ag.softmax_rows(x), ag.sigmoid(x), ag.softplus(x), ag.relu(x),
-                ag.layer_norm(x, Tensor(np.ones(6, dtype=np.float32)), Tensor(np.zeros(6, dtype=np.float32)))):
-        assert np.all(np.isfinite(out.data))
+    for out in (ag.softmax_rows(x).data, ag.sigmoid_array(x.data), ag.softplus(x).data, ag.relu(x).data,
+                ag.layer_norm(x, Tensor(np.ones(6, dtype=np.float32)), Tensor(np.zeros(6, dtype=np.float32))).data):
+        assert np.all(np.isfinite(out))

@@ -224,6 +224,17 @@ class TestTrain:
         assert rc == 3
         assert "sample 0 has no genres" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("genres", [5, True, None])
+    def test_manifest_genres_not_a_list_is_data_error(self, tmp_path, capsys, genres):
+        data = tmp_path / "data"
+        data.mkdir()
+        doc = {"genres": genres, "samples": [{"id": "v0", "duration_s": 50.0, "genres": ["Action"]}]}
+        (data / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "manifest genre vocabulary does not match" in err and "Traceback" not in err
+
     def test_non_numeric_duration_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -361,8 +372,9 @@ class TestResume:
         for name in ("last.bin", "trainer_state.bin"):
             assert open(os.path.join(out, name), "rb").read() == open(os.path.join(full, name), "rb").read()
 
-    @pytest.mark.parametrize("key, value", [("sha256", DROP), ("losses", "1.0"), ("dropout_rng", {"seed": 1})],
-                             ids=["sha256-missing", "losses-string", "rng-without-counter"])
+    @pytest.mark.parametrize("key, value", [("sha256", DROP), ("losses", "1.0"), ("dropout_rng", {"seed": 1}),
+                                            ("dropout_rng", {"seed": 1, "counter": 2**70})],
+                             ids=["sha256-missing", "losses-string", "rng-without-counter", "rng-counter-past-uint64"])
     def test_malformed_state_is_data_error(self, mean_data, tmp_path, capsys, key, value):
         def edit(state):
             if value is DROP:
@@ -381,6 +393,16 @@ class TestResume:
         rc, err = self._resume_edited(mean_data, tmp_path, capsys, lambda state: edit(state["adam_manifest"][0]))
         assert rc == 3
         assert message in err and "Traceback" not in err
+
+    def test_overlapping_moment_entries_are_data_error(self, mean_data, tmp_path, capsys):
+        # each v.* entry points at its m.* bytes; the blob and its SHA-256 are untouched
+        def edit(state):
+            manifest = state["adam_manifest"]
+            for m, v in zip(manifest[0::2], manifest[1::2]):
+                v["offset"] = m["offset"]
+        rc, err = self._resume_edited(mean_data, tmp_path, capsys, edit)
+        assert rc == 3
+        assert "trainer_state.bin: v." in err and "starts at byte" in err and "Traceback" not in err
 
     def test_non_standard_json_numbers_are_data_error(self, mean_data, tmp_path, capsys):
         def edit(state):

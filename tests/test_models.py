@@ -8,7 +8,7 @@ import genreclf.autograd as ag
 import genreclf.mmf as mmf
 import genreclf.training as training
 from genreclf.autograd import Tensor, no_grad
-from genreclf.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from genreclf.checkpoint import load_checkpoint, read_blob, read_checkpoint, save_checkpoint, write_blob
 from genreclf.data import Batch, VideoRecord, make_batch, temporal_average
 from genreclf.errors import ConfigError, DataError
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec
@@ -202,10 +202,11 @@ class TestAssembly:
         valid = [1 + sum(1 + min(len(r.features[s.name]), s.train_max_len) for s in cfg.modalities) for r in records]
         assert seg.padded_rows == 2 * expected
         assert seg.offsets.tolist() == [0, min(valid), sum(valid)]   # shortest first
-        assert (seg.starts[1] == 0) == (valid[1] < valid[0])
+        starts = seg.offsets[seg.rank]
+        assert (starts[1] == 0) == (valid[1] < valid[0])
         assert seq.shape == (sum(valid), cfg.model_dim)
-        assert seg.rows[seg.starts].tolist() == [0, expected]    # CLS first in each padded row
-        assert seq.data[seg.starts].tobytes() == np.stack([model.params["cls"].data] * 2).tobytes()
+        assert seg.rows[starts].tolist() == [0, expected]    # CLS first in each padded row
+        assert seq.data[starts].tobytes() == np.stack([model.params["cls"].data] * 2).tobytes()
 
     def test_averaged_modality_contributes_one_position(self):
         cfg = toy_config("single_transformer", averaged=("ocr",))
@@ -234,7 +235,7 @@ class TestAssembly:
 def padded_logits(model, batch, train=False, rng=None):
     """The padded forward pass the packed models replaced, built from their
     parameters: each stream zero-padded to its batch length cut to its
-    positional table, pad keys masked out of the softmax, every layer
+    positional table, pad keys sent to -inf before the softmax, every layer
     computed over all rows with dropout drawn over the whole (B, T, D)
     tensor, and the CLS row read at the end."""
     p, b = model.params, batch.size
@@ -260,7 +261,8 @@ def padded_logits(model, batch, train=False, rng=None):
 
         scores = ag.mul(ag.matmul(split(attn.q(x)), ag.transpose(split(attn.k(x)), (0, 1, 3, 2))),
                         1.0 / np.sqrt(attn.head_dim))
-        ctx = ag.matmul(ag.softmax_rows(scores, mask[:, None, None, :]), split(attn.v(x)))
+        ctx = ag.matmul(ag.softmax_rows(ag.add(scores, np.where(mask, 0.0, -np.inf)[:, None, None, :])),
+                        split(attn.v(x)))
         a = attn.out(ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, t, d)))
         x = ag.layer_norm(ag.add(x, ag.dropout(a, layer.dropout_rate, train, rng)), layer.ln1_g, layer.ln1_b)
         f = ag.dropout(layer.ff2(ag.relu(layer.ff1(x))), layer.dropout_rate, train, rng)
@@ -636,6 +638,21 @@ class TestCheckpoint:
         open(stem + ".bin", "wb").write(blob[:-8])
         with pytest.raises(DataError, match="too short"):
             load_checkpoint(stem)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m, blob: (m[:2] + [{**m[2], "offset": 12}], blob), r"c starts at byte 12, not .* \(28\)"),
+        (lambda m, blob: (m + [m[0]], blob), "names 'a' twice"),
+        (lambda m, blob: (m, blob + b"\0"), "the manifest ends at byte 40 but the blob has 41"),
+    ], ids=["overlap", "duplicate-name", "trailing-byte"])
+    def test_blob_entries_must_lie_end_to_end(self, tmp_path, edit, message):
+        path = str(tmp_path / "x.bin")
+        manifest, _ = write_blob(path, {"a": np.arange(3.0), "b": np.ones((2, 2)), "c": np.zeros(3)})
+        with open(path, "rb") as fh:
+            manifest, blob = edit(manifest, fh.read())
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(DataError, match=message):
+            read_blob(path, manifest)
 
     @pytest.mark.parametrize("failing_write, survivor_seed", [(1, 35), (2, 36)], ids=["in-blob", "in-json"])
     def test_failed_save_leaves_a_loadable_pair(self, tmp_path, monkeypatch, failing_write, survivor_seed):

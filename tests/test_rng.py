@@ -74,6 +74,7 @@ def test_subsample_sorted():
 @example(seed=0, counter=0, n=3, d=4, rows=[0, 2])
 @example(seed=5, counter=2**40, n=6, d=3, rows=[5, 0, 3, 3])
 @example(seed=1, counter=0, n=4, d=2, rows=[])
+@example(seed=2, counter=2**64 - 3, n=2, d=3, rows=[1, 0])   # the counter wraps past 2**64
 @given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**48), n=st.integers(1, 12),
        d=st.integers(1, 6), rows=st.lists(st.integers(0, 11), max_size=12))
 def test_uniform_rows_index_the_full_draw(seed, counter, n, d, rows):
@@ -82,7 +83,7 @@ def test_uniform_rows_index_the_full_draw(seed, counter, n, d, rows):
     want = full.uniform((n, d))[rows]
     got = picked.uniform_rows((n, d), rows)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert picked.counter == full.counter == counter + n * d
+    assert picked.counter == full.counter == (counter + n * d) % 2**64
 
 
 def test_uniform_rows_of_rank_one_and_four():
@@ -104,3 +105,11 @@ def test_derive_seed_distinct_and_stable():
              derive_seed(0, "a", 1), derive_seed(0, "a", 2)}
     assert len(seeds) == 5
     assert derive_seed(5, "shuffle", 3) == derive_seed(5, "shuffle", 3)
+
+
+def test_counter_wraps_as_the_stream_arithmetic_does():
+    # the outputs past counter 2**64 are those past counter 0
+    rng = SeededRng(5, 2**64 - 2)
+    out = rng.raw(4)
+    assert rng.counter == 2
+    assert out[2:].tolist() == SeededRng(5).raw(2).tolist()

@@ -349,6 +349,7 @@ class TestTrainer:
         (("global_step",), "2"), (("epoch",), 1.0), (("step_in_epoch",), None), (("adam_t",), True),
         (("global_step",), -1), (("adam_manifest",), {}), (("dropout_rng",), [1, 2]),
         (("dropout_rng", "counter"), -5), (("dropout_rng", "seed"), 1.5), (("best_step",), 0.5),
+        (("dropout_rng", "counter"), 2**70), (("dropout_rng", "seed"), 2**64),
         (("best_map",), "0.5"), (("best_map",), False), (("losses",), {}), (("losses",), [[1]]),
         (("losses",), [[1, "0.3"]]), (("sha256",), "abc"), (("sha256", "last.bin"), 5),
     ], ids=lambda v: "missing" if v is DROP else ".".join(v) if isinstance(v, tuple) else repr(v))

@@ -431,13 +431,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each trailing-axis vector to zero mean / unit variance,
-    then apply the learned affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each trailing-axis vector to zero mean / unit variance
+    (eps 1e-5, a Python float so float32 stays float32), then apply the
+    learned affine."""
     d = x.data
     mu = d.mean(axis=-1, keepdims=True)
     var = ((d - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (d - mu) * inv
     out = Tensor((xhat * gain.data + bias.data).astype(d.dtype, copy=False))
     if _wants_grad(x, gain, bias):

@@ -33,18 +33,19 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _write_run_manifest(out_dir: str, command: str, resolved: dict, seed: int):
-    """Write run_manifest.json as standard JSON: callers refuse non-finite
-    numbers first, so a NaN left here fails loudly instead of being written."""
-    os.makedirs(out_dir, exist_ok=True)
+def _write_run_manifest(args, resolved: dict, seed: int):
+    """Write run_manifest.json into ``args.out`` as standard JSON: callers
+    refuse non-finite numbers first, so a NaN left here fails loudly instead
+    of being written. ``args.argv`` is the argument list ``main`` parsed."""
+    os.makedirs(args.out, exist_ok=True)
     doc = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "seed": seed,
         "version": __version__,
         "resolved_config": resolved,
     }
-    write_atomic(os.path.join(out_dir, "run_manifest.json"), json.dumps(doc, indent=1, allow_nan=False).encode())
+    write_atomic(os.path.join(args.out, "run_manifest.json"), json.dumps(doc, indent=1, allow_nan=False).encode())
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -80,8 +81,7 @@ def _load_split_records(data_dir: str):
 def cmd_import(args) -> int:
     specs = default_modalities()
     summary = import_npy(args.npy_dir, args.manifest, args.out, specs)
-    _write_run_manifest(args.out, "import", {"npy_dir": args.npy_dir, "manifest": args.manifest},
-                        args.seed or 0)
+    _write_run_manifest(args, {"npy_dir": args.npy_dir, "manifest": args.manifest}, args.seed or 0)
     for msg in summary["errors"]:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"imported {summary['imported']} videos, {summary['failed']} failed, "
@@ -107,7 +107,7 @@ def cmd_synth(args) -> int:
         write_mmf(rec.features, path)
         rec.path = path
     write_manifest(records, os.path.join(args.out, "manifest.json"))
-    _write_run_manifest(args.out, "synth", {"kind": args.kind, "n": args.n, "noise_std": args.noise_std}, seed)
+    _write_run_manifest(args, {"kind": args.kind, "n": args.n, "noise_std": args.noise_std}, seed)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
     cfg = _load_train_config(args)
     cfg.checkpoint_dir = args.out
     splits, stats = _load_split_records(args.data)
-    _write_run_manifest(args.out, "train", cfg.to_dict(), cfg.seed)
+    _write_run_manifest(args, cfg.to_dict(), cfg.seed)
     if args.resume:
         trainer = Trainer.resume(cfg, splits["train"], splits["val"], args.resume)
     else:
@@ -153,8 +153,8 @@ def cmd_eval(args) -> int:
     if not records:
         raise DataError(f"split {args.split!r} is empty")
     report = evaluate(model, records)
-    _write_run_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "split": args.split,
-                                           "threshold": model.config.threshold}, args.seed or 0)
+    _write_run_manifest(args, {"checkpoint": args.checkpoint, "split": args.split,
+                               "threshold": model.config.threshold}, args.seed or 0)
     write_atomic(os.path.join(args.out, "report.csv"), to_csv(report).encode())
     text = format_table(report)
     write_atomic(os.path.join(args.out, "report.txt"), (text + "\n").encode())
@@ -209,7 +209,7 @@ def _run_rows(jobs, threads: int):
 def cmd_ablate(args) -> int:
     base = _load_train_config(args)
     splits, _ = _load_split_records(args.data)
-    _write_run_manifest(args.out, "ablate", base.to_dict(), base.seed)
+    _write_run_manifest(args, base.to_dict(), base.seed)
     configured = {s.name: s for s in base.model.modalities}
     jobs = []
     for i, row in enumerate(ABLATION_ROWS):
@@ -253,8 +253,7 @@ def cmd_frames_sweep(args) -> int:
     frame_counts = tuple(int(x) for x in frames)
     if "clip" not in {s.name for s in base.model.modalities}:
         raise ConfigError("frames-sweep needs the clip modality enabled")
-    _write_run_manifest(args.out, "frames-sweep",
-                        {**base.to_dict(), "frames": list(frame_counts)}, base.seed)
+    _write_run_manifest(args, {**base.to_dict(), "frames": list(frame_counts)}, base.seed)
     jobs = []
     for n_frames in frame_counts:
         sub = {k: _subsample_clip(v, n_frames, derive_seed(base.seed, "sweep", n_frames)) for k, v in splits.items()}
@@ -352,8 +351,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

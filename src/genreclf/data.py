@@ -3,7 +3,7 @@ minibatch assembly."""
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,7 +53,7 @@ class Batch:
     heads: dict[str, list[np.ndarray]]
     shapes: dict[str, tuple[int, int]]
     labels: np.ndarray                # (B, 21) float32
-    ids: list[str] = field(default_factory=list)
+    ids: list[str]
     memos: list[dict] | None = None
 
     @property
@@ -97,6 +97,14 @@ class FilterStats:
     dropped_missing_duration: int = 0
 
 
+def check_duration(value, where: str):
+    """``value`` if it is a number or None, else a DataError: the
+    ``duration_s`` rule of both dataset manifests and NPY imports."""
+    if value is not None and type(value) not in (int, float):
+        raise DataError(f"{where} has a duration_s that is not a number: {value!r}")
+    return value
+
+
 def load_manifest(path: str) -> list[VideoRecord]:
     """Read a dataset manifest. Unknown genre names are dropped (the source
     catalog carries more genres than the 21 used here); records left with no
@@ -113,15 +121,14 @@ def load_manifest(path: str) -> list[VideoRecord]:
         if missing:
             raise DataError(f"{path}: sample {i} has no {' and no '.join(missing)}")
         rid, genres = entry["id"], entry["genres"]
-        rec_path, duration = entry.get("path"), entry.get("duration_s")
+        rec_path = entry.get("path")
         if not isinstance(rid, str):
             raise DataError(f"{path}: sample {i} has an id that is not a string: {rid!r}")
         if not isinstance(genres, list):
             raise DataError(f"{path}: record {rid} has genres that are not a list: {genres!r}")
         if rec_path is not None and not isinstance(rec_path, str):
             raise DataError(f"{path}: record {rid} has a path that is not a string or null: {rec_path!r}")
-        if duration is not None and type(duration) not in (int, float):
-            raise DataError(f"{path}: record {rid} has a duration_s that is not a number: {duration!r}")
+        duration = check_duration(entry.get("duration_s"), f"{path}: record {rid}")
         known = tuple(g for g in genres if g in GENRES)
         if not known:
             raise DataError(f"{path}: record {rid} has no known genres")
@@ -150,18 +157,18 @@ def write_manifest(records: list[VideoRecord], path: str):
     write_atomic(path, json.dumps(doc, indent=1).encode())
 
 
-def filter_by_duration(records, lo: float = DURATION_LO, hi: float = DURATION_HI):
-    """Keep records with lo <= duration_s <= hi (bounds inclusive: the
-    fence values themselves are kept). Records without a duration are
-    dropped and counted."""
+def filter_by_duration(records):
+    """Keep records with DURATION_LO <= duration_s <= DURATION_HI (bounds
+    inclusive: the fence values themselves are kept). Records without a
+    duration are dropped and counted."""
     kept = []
     stats = FilterStats()
     for r in records:
         if r.duration_s is None:
             stats.dropped_missing_duration += 1
-        elif r.duration_s < lo:
+        elif r.duration_s < DURATION_LO:
             stats.dropped_short += 1
-        elif r.duration_s > hi:
+        elif r.duration_s > DURATION_HI:
             stats.dropped_long += 1
         else:
             kept.append(r)

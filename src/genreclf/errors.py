@@ -1,6 +1,8 @@
 """Package exception hierarchy, mapped to CLI exit codes."""
 
-import math
+import dataclasses
+import sys
+import typing
 
 
 class GenreclfError(Exception):
@@ -40,7 +42,7 @@ def config_field(d, key: str, kind: type, default=_REQUIRED, where: str = "confi
             raise ConfigError(f"{where} field {key!r} is missing")
         return default
     if kind is float:
-        ok = type(value) in (int, float) and math.isfinite(value)
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max   # exact, so no int overflows
     elif kind is list:
         ok = isinstance(value, (list, tuple))   # to_dict keeps tuples
     else:
@@ -48,3 +50,15 @@ def config_field(d, key: str, kind: type, default=_REQUIRED, where: str = "confi
     if not ok:
         raise ConfigError(f"{where} field {key!r} must be {_KINDS[kind]}, got {value!r:.80}")
     return float(value) if kind is float else value
+
+
+def config_fields(cls, d, where: str, **given):
+    """A ``cls`` dataclass from ``given`` and ``d``: each other field is read
+    by ``config_field`` as its annotated kind (``int | None`` as an int),
+    with the field's own default if it has one."""
+    for f in dataclasses.fields(cls):
+        if f.name not in given:
+            kind = next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
+            default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+            given[f.name] = config_field(d, f.name, kind, default, where)
+    return cls(**given)

@@ -99,16 +99,15 @@ def mean_average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(valid)) if valid else float("nan")
 
 
-def compute_report(scores: np.ndarray, targets: np.ndarray, threshold: float,
-                   genres: tuple[str, ...] = GENRES) -> MetricsReport:
+def compute_report(scores: np.ndarray, targets: np.ndarray, threshold: float) -> MetricsReport:
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets)
-    if scores.ndim != 2 or scores.shape[1] != len(genres):
-        raise ValueError(f"scores must be (N, {len(genres)}), got {scores.shape}")
+    if scores.ndim != 2 or scores.shape[1] != len(GENRES):
+        raise ValueError(f"scores must be (N, {len(GENRES)}), got {scores.shape}")
     if scores.shape[0] < 1:
         raise ValueError("need at least one sample")
     precision, recall, has_pos = precision_recall_at(scores, targets, threshold)
-    ap = np.array([average_precision(scores[:, c], targets[:, c]) for c in range(len(genres))])
+    ap = np.array([average_precision(scores[:, c], targets[:, c]) for c in range(len(GENRES))])
     if has_pos.any():
         macro_p = float(precision[has_pos].mean())
         macro_r = float(recall[has_pos].mean())
@@ -118,7 +117,7 @@ def compute_report(scores: np.ndarray, targets: np.ndarray, threshold: float,
     return MetricsReport(
         threshold=float(threshold),
         n_samples=int(scores.shape[0]),
-        genres=tuple(genres),
+        genres=GENRES,
         precision=precision,
         recall=recall,
         ap=ap,

@@ -121,12 +121,17 @@ def _holds(path: str, data: bytes) -> bool:
 
 
 def read_json(path: str):
-    """Parse the JSON file at ``path`` as standard JSON: ``NaN``,
-    ``Infinity`` and ``-Infinity`` are a DataError."""
+    """Parse the JSON file at ``path`` as standard JSON, UTF-8 whatever the
+    locale: bytes that are not UTF-8, and ``NaN``, ``Infinity`` and
+    ``-Infinity``, are a DataError."""
     def reject(constant):
         raise DataError(f"{path}: {constant} is not a standard JSON number")
-    with open(path) as fh:
-        return json.load(fh, parse_constant=reject)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"), parse_constant=reject)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def read_mmf(path: str) -> dict[str, np.ndarray]:
@@ -209,7 +214,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     Returns a summary dict with the number imported, the number failed,
     the per-file error messages and the unknown genre labels dropped.
     """
-    from .data import VideoRecord, write_manifest
+    from .data import VideoRecord, check_duration, write_manifest
     from .vocab import GENRES
 
     src = read_json(manifest_path)
@@ -232,6 +237,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
                 raise DataError(f"{vid}: id {raw_id!r} is not a file name")
             if vid in imported:
                 raise DataError(f"{vid}: duplicate id; an earlier entry was imported under it")
+            duration = check_duration(entry.get("duration_s"), f"{vid}: the entry")
             features = {}
             for mod, rel in entry.get("features", {}).items():
                 if mod not in spec_by_name:
@@ -249,7 +255,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
             out_path = os.path.join(out_dir, f"{vid}.mmf")
             write_mmf(features, out_path)
             imported.add(vid)
-            records.append(VideoRecord(id=vid, duration_s=entry.get("duration_s"), genres=tuple(known),
+            records.append(VideoRecord(id=vid, duration_s=duration, genres=tuple(known),
                                        path=out_path))
         except DataError as exc:
             errors.append(str(exc))

@@ -8,10 +8,9 @@ sequence is collapsed to its mean before the model sees it, an option used
 for the noisier text-derived streams.
 """
 
-from dataclasses import asdict, dataclass, replace
-from functools import partial
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError, config_field
+from .errors import ConfigError, config_field, config_fields
 
 
 @dataclass(frozen=True)
@@ -21,9 +20,6 @@ class ModalitySpec:
     train_max_len: int
     temporal_average: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
         """A spec from config: the name must be a default-schema modality
@@ -31,12 +27,11 @@ class ModalitySpec:
         name = config_field(d, "name", str, where="modality")
         if name not in SPEC_BY_NAME:
             raise ConfigError(f"modality {name!r} is not one of {', '.join(SPEC_BY_NAME)}")
-        get = partial(config_field, d, where=f"modality {name!r}")
-        sizes = {key: get(key, int) for key in ("input_dim", "train_max_len")}
-        for key, value in sizes.items():
-            if value < 1:
-                raise ConfigError(f"modality {name!r} field {key!r} must be >= 1, got {value}")
-        return cls(name=name, **sizes, temporal_average=get("temporal_average", bool, False))
+        spec = config_fields(cls, d, f"modality {name!r}", name=name)
+        for key in ("input_dim", "train_max_len"):
+            if getattr(spec, key) < 1:
+                raise ConfigError(f"modality {name!r} field {key!r} must be >= 1, got {getattr(spec, key)}")
+        return spec
 
 
 DEFAULT_SPECS = (

@@ -22,14 +22,13 @@ averages whole and the transformers still cut to their positional tables.
 """
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .data import Batch, make_batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
-from .errors import ConfigError, DataError, config_field
+from .errors import ConfigError, DataError, config_field, config_fields
 from .modalities import ModalitySpec, default_modalities
 from .nn import Linear, ParameterStore, Segments, TransformerEncoderLayer, init_embedding
 from .rng import SeededRng, derive_seed
@@ -88,17 +87,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        get = partial(config_field, d, where="model")
-        return cls(
-            architecture=get("architecture", str),
-            model_dim=get("model_dim", int),
-            num_layers=get("num_layers", int),
-            num_heads=get("num_heads", int),
-            dropout_rate=get("dropout_rate", float, 0.5),
-            modalities=tuple(ModalitySpec.from_dict(m) for m in get("modalities", list)),
-            positive_weight=get("positive_weight", float, 0.25),
-            threshold=get("threshold", float, 0.5),
-        )
+        modalities = config_field(d, "modalities", list, where="model")
+        return config_fields(cls, d, "model", modalities=tuple(ModalitySpec.from_dict(m) for m in modalities))
 
 
 def _check_modality(batch: Batch, spec: ModalitySpec):
@@ -257,11 +247,10 @@ def predict_scores(model: _Model, batch: Batch) -> np.ndarray:
     return ag.sigmoid_array(logits.data.astype(np.float64)).astype(np.float32)
 
 
-def predict(model: _Model, record, threshold: float = None):
-    """Probabilities and threshold decisions for one record at its full
-    duration. A probability equal to the threshold counts as positive."""
-    if threshold is None:
-        threshold = model.config.threshold
+def predict(model: _Model, record):
+    """Probabilities and decisions at the model config's threshold for one
+    record at its full duration. A probability equal to the threshold counts
+    as positive."""
     batch = make_batch([record], model.config.modalities, lengths="full")
     probs = predict_scores(model, batch)[0]
-    return probs, probs >= threshold
+    return probs, probs >= model.config.threshold

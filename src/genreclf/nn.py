@@ -79,8 +79,8 @@ def init_linear(rng: SeededRng | None, fan_in: int, fan_out: int):
     return w, b
 
 
-def init_embedding(rng: SeededRng | None, shape, std: float = 0.02):
-    return np.zeros(shape) if rng is None else rng.normal(shape, 0.0, std)
+def init_embedding(rng: SeededRng | None, shape):
+    return np.zeros(shape) if rng is None else rng.normal(shape, 0.0, 0.02)
 
 
 class Linear:

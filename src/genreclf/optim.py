@@ -41,7 +41,7 @@ class Adam:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8   # fixed: a resume does not record them
 
-    def __init__(self, store: ParameterStore, lr: float = 1e-5):
+    def __init__(self, store: ParameterStore, lr: float):
         self.store = store
         self.lr = lr
         self.t = 0

@@ -23,8 +23,7 @@ from .rng import SeededRng, derive_seed
 from .vocab import GENRES
 
 
-def synth_mean_encoded(n: int, seed: int, noise_std: float = 0.1, specs=DEFAULT_SPECS,
-                       genre_prob: float = 0.15) -> list[VideoRecord]:
+def synth_mean_encoded(n: int, seed: int, noise_std: float = 0.1, specs=DEFAULT_SPECS) -> list[VideoRecord]:
     """Generate ``n`` mean-separable records. Fully reproducible from
     (n, seed): the same pair always yields the same dataset."""
     if n < 1 or not 0 <= noise_std < np.inf:
@@ -34,7 +33,7 @@ def synth_mean_encoded(n: int, seed: int, noise_std: float = 0.1, specs=DEFAULT_
     records = []
     for i in range(n):
         rec_rng = SeededRng(derive_seed(seed, "record", i))
-        labels = rec_rng.uniform((len(GENRES),)) < genre_prob
+        labels = rec_rng.uniform((len(GENRES),)) < 0.15
         if not labels.any():
             labels[rec_rng.randint(0, len(GENRES))] = True
         genres = tuple(g for g, on in zip(GENRES, labels) if on)
@@ -53,15 +52,14 @@ def synth_mean_encoded(n: int, seed: int, noise_std: float = 0.1, specs=DEFAULT_
 ORDER_GENRES = ("Action", "Adventure")   # class 0: marker A first; class 1: marker B first
 
 
-def synth_order_encoded(n: int, seed: int, dim: int = 16, block_len: int = 8,
-                        jitter_std: float = 0.1) -> list[VideoRecord]:
+def synth_order_encoded(n: int, seed: int, dim: int = 16, block_len: int = 8) -> list[VideoRecord]:
     """Generate ``n`` order-labelled records with a clip modality only.
 
     Two dataset-level marker vectors A and B are drawn once from the seed.
     Each record's sequence is a block of frames around A and a block around
-    B (with per-frame jitter); the two blocks appear in either order, and
-    that order alone determines the label. Swapping the blocks of any
-    record flips its label while leaving the frame multiset untouched.
+    B (with per-frame jitter of std 0.1); the two blocks appear in either
+    order, and that order alone determines the label. Swapping the blocks of
+    any record flips its label while leaving the frame multiset untouched.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
@@ -72,8 +70,8 @@ def synth_order_encoded(n: int, seed: int, dim: int = 16, block_len: int = 8,
     for i in range(n):
         rec_rng = SeededRng(derive_seed(seed, "order-record", i))
         a_first = bool(rec_rng.uniform(()) < 0.5)
-        block_a = marker_a[None, :] + rec_rng.normal((block_len, dim), 0.0, jitter_std)
-        block_b = marker_b[None, :] + rec_rng.normal((block_len, dim), 0.0, jitter_std)
+        block_a = marker_a[None, :] + rec_rng.normal((block_len, dim), 0.0, 0.1)
+        block_b = marker_b[None, :] + rec_rng.normal((block_len, dim), 0.0, 0.1)
         seq = np.concatenate([block_a, block_b] if a_first else [block_b, block_a], axis=0)
         genres = (ORDER_GENRES[0],) if a_first else (ORDER_GENRES[1],)
         duration = float(rec_rng.uniform((), 20.0, 200.0))

@@ -14,7 +14,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
-from .errors import ConfigError, DataError, NumericError, config_field
+from .errors import ConfigError, DataError, NumericError, config_field, config_fields
 from .metrics import MetricsReport, compute_report
 from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model, predict_scores
@@ -26,7 +26,7 @@ TRAINER_STATE_VERSION = 2
 EVAL_BATCH = 32   # records per scoring forward in ``evaluate`` when no stream is padded: the paper's batch size
 
 
-def weighted_bce(logits: Tensor, targets: np.ndarray, positive_weight: float = 1.0) -> Tensor:
+def weighted_bce(logits: Tensor, targets: np.ndarray, positive_weight: float) -> Tensor:
     """Per sample, -(1/C) * sum_c [ w * y_c * log p_c + (1 - y_c) * log(1 - p_c) ]
     with p = sigmoid(logit), averaged over the batch.
 
@@ -61,17 +61,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(
-            model=ModelConfig.from_dict(config_field(d, "model", dict)),
-            lr=config_field(d, "lr", float, 1e-5),
-            batch_size=config_field(d, "batch_size", int, 32),
-            clip_norm=config_field(d, "clip_norm", float, 1.0),
-            epochs=config_field(d, "epochs", int, 1),
-            max_steps=config_field(d, "max_steps", int, None),
-            eval_interval=config_field(d, "eval_interval", int, 0),
-            seed=config_field(d, "seed", int, 0),
-            checkpoint_dir=config_field(d, "checkpoint_dir", str, None),
-        )
+        return config_fields(cls, d, "config", model=ModelConfig.from_dict(config_field(d, "model", dict)))
 
     def check(self):
         """Refuse settings the loop cannot run with (lr 0 and max_steps 0 run)."""
@@ -115,9 +105,9 @@ def _eval_bucket(config: ModelConfig) -> int:
     return 1
 
 
-def evaluate(model, records, threshold: float = None) -> MetricsReport:
-    """Score records at full duration and build a MetricsReport. Leaves
-    model parameters untouched.
+def evaluate(model, records) -> MetricsReport:
+    """Score records at full duration and build a MetricsReport at the
+    model config's threshold. Leaves model parameters untouched.
 
     Consecutive buckets of ``_eval_bucket`` records are scored with one
     batch and one forward each. Float64 scores equal one-record scores bit
@@ -125,8 +115,6 @@ def evaluate(model, records, threshold: float = None) -> MetricsReport:
     """
     if not records:
         raise DataError("evaluate needs at least one record")
-    if threshold is None:
-        threshold = model.config.threshold
     specs = model.config.modalities
     size = _eval_bucket(model.config)
     scores = np.zeros((len(records), NUM_GENRES), dtype=np.float64)
@@ -134,7 +122,7 @@ def evaluate(model, records, threshold: float = None) -> MetricsReport:
         scores[start:start + size] = predict_scores(model, make_batch(records[start:start + size], specs,
                                                                       lengths="full"))
     targets = np.stack([label_vector(r.genres) for r in records])
-    return compute_report(scores, targets, threshold)
+    return compute_report(scores, targets, model.config.threshold)
 
 
 class Trainer:
@@ -149,13 +137,17 @@ class Trainer:
     none, so scoring keeps nothing between batches."""
 
     def __init__(self, config: TrainConfig, train_records, val_records=()):
+        self._setup(config, train_records, val_records, config.seed)
+
+    def _setup(self, config: TrainConfig, train_records, val_records, init_seed: int | None):
+        """``__init__`` with the model built from ``init_seed``; None draws no weight."""
         config.check()
         self.config = config
         self.train_records = list(train_records)
         self.val_records = list(val_records)
         if not self.train_records:
             raise DataError("no training records")
-        self.model = build_model(config.model, seed=config.seed)
+        self.model = build_model(config.model, seed=init_seed)
         self.adam = Adam(self.model.params, lr=config.lr)
         self.dropout_rng = SeededRng(derive_seed(config.seed, "dropout"))
         self.memos = [{} for _ in self.train_records]
@@ -262,7 +254,8 @@ class Trainer:
         saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"), state["sha256"]["last.bin"])
         if saved_model != config.model:
             raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
-        t = cls(config, train_records, val_records)
+        t = cls.__new__(cls)
+        t._setup(config, train_records, val_records, None)   # every weight is loaded below
         moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state["adam_manifest"],
                             state["sha256"]["trainer_state.bin"])
         t.model.params.load_arrays(arrays)

@@ -220,10 +220,10 @@ class TestLayerNorm:
         assert np.allclose(out.data, 0.0, atol=1e-6)
 
     def test_two_point_hand_case(self):
-        # mean 2, population std 1 -> normalized [-1, 1]
+        # mean 2, population variance 1 -> normalized [-1, 1] / sqrt(1 + eps), eps 1e-5
         out = ag.layer_norm(Tensor([[1.0, 3.0]], dtype=np.float64),
-                            Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+                            Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        assert np.allclose(out.data, np.array([[-1.0, 1.0]]) / np.sqrt(1 + 1e-5), rtol=1e-12, atol=0)
 
     def test_zero_gain_broadcasts_bias(self):
         bias = np.array([1.0, -2.0, 0.5])

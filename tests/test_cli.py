@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from genreclf.cli import main
+from genreclf.data import load_manifest
 from genreclf.metrics import report_from_csv
 from genreclf.mmf import read_mmf
 from genreclf.vocab import GENRES
@@ -62,6 +64,10 @@ class TestSynth:
         assert doc["command"] == "synth"
         assert doc["seed"] == 0
         assert doc["resolved_config"]["kind"] == "mean"
+
+    def test_run_manifest_records_the_parsed_argv(self, mean_data):
+        doc = json.load(open(os.path.join(mean_data, "run_manifest.json")))
+        assert doc["argv"] == ["synth", "--kind", "mean", "--n", "10", "--out", mean_data]
 
     @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-2"], ["--noise-std", "nan"], ["--noise-std", "inf"],
                                        ["--noise-std", "-0.1"]])
@@ -159,6 +165,20 @@ class TestImport:
         assert [s["id"] for s in doc["samples"]] == ["a"]
         assert np.array_equal(read_mmf(str(out / "a.mmf"))["clip"], np.ones((5, 512), dtype=np.float32))
 
+    def test_duration_that_is_not_a_number_is_skipped(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        np.save(src / "v.clip.npy", np.ones((5, 512), dtype=np.float32))
+        manifest = tmp_path / "src.json"
+        manifest.write_text(json.dumps({"samples": [{**self.GOOD, "id": "bad", "duration_s": "ninety"}, self.GOOD]}))
+        out = tmp_path / "out"
+        assert main(["import", "--npy-dir", str(src), "--manifest", str(manifest), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "imported 1 videos, 1 failed" in captured.out
+        assert "warning: bad: the entry has a duration_s that is not a number: 'ninety'" in captured.err
+        assert not (out / "bad.mmf").exists()
+        assert [r.id for r in load_manifest(str(out / "manifest.json"))] == ["good"]
+
     @pytest.mark.parametrize("doc", [[], {"samples": {}}, {"samples": 5}, "samples"],
                              ids=["top-level-list", "samples-object", "samples-int", "top-level-string"])
     def test_malformed_source_manifest_is_data_error(self, tmp_path, capsys, doc):
@@ -172,6 +192,15 @@ class TestImport:
 
 
 class TestTrain:
+    def test_manifest_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_bytes(b"\xff\xfe{}")
+        rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "manifest.json: not UTF-8 text" in err and "Traceback" not in err
+
     def test_train_writes_history_and_checkpoints(self, mean_data, tmp_path):
         cfg = small_train_config(tmp_path)
         out = str(tmp_path / "run")
@@ -404,6 +433,19 @@ class TestResume:
         assert rc == 3
         assert "trainer_state.bin: v." in err and "starts at byte" in err and "Traceback" not in err
 
+    def test_state_that_is_not_utf8_is_data_error(self, mean_data, tmp_path, capsys):
+        part = self._saved(mean_data, tmp_path, 1)
+        path = os.path.join(part, "trainer_state.json")
+        raw = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe" + raw)
+        capsys.readouterr()
+        rc = main(["train", "--config", small_train_config(tmp_path), "--data", mean_data,
+                   "--out", str(tmp_path / "resumed"), "--resume", part])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "trainer_state.json: not UTF-8 text" in err and "Traceback" not in err
+
     def test_non_standard_json_numbers_are_data_error(self, mean_data, tmp_path, capsys):
         def edit(state):
             state["best_map"] = float("nan")
@@ -560,8 +602,9 @@ class TestEvalPredict:
 
     def test_run_manifest_refuses_a_non_finite_number(self, tmp_path):
         from genreclf.cli import _write_run_manifest
+        args = argparse.Namespace(out=str(tmp_path), command="eval", argv=[])
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _write_run_manifest(str(tmp_path), "eval", {"threshold": float("nan")}, 0)
+            _write_run_manifest(args, {"threshold": float("nan")}, 0)
         assert not (tmp_path / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("threshold", ("0", "1"))

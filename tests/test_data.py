@@ -34,10 +34,6 @@ class TestFilter:
         assert len(kept) == 1
         assert stats.dropped_missing_duration == 1
 
-    def test_custom_bounds(self):
-        kept, _ = filter_by_duration([rec(0, 5.0)], lo=1.0, hi=10.0)
-        assert len(kept) == 1
-
 
 class TestSplit:
     def test_full_corpus_counts(self):

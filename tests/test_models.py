@@ -79,6 +79,23 @@ class TestConfig:
         cfg = toy_config("multi_transformer", averaged=("ocr",))
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    CLIP = {"name": "clip", "input_dim": 10, "train_max_len": 7}
+    MODEL = {"architecture": "mlp", "model_dim": 8, "num_layers": 1, "num_heads": 1, "modalities": [CLIP]}
+
+    @pytest.mark.parametrize("cls, d", [(ModalitySpec, CLIP), (ModelConfig, MODEL), (TrainConfig, {"model": MODEL})],
+                             ids=["modality", "model", "train"])
+    def test_missing_optional_field_loads_the_dataclass_default(self, cls, d):
+        loaded = cls.from_dict(d)
+        optional = [f for f in dataclasses.fields(cls) if f.name not in d]
+        assert optional and all(f.default is not dataclasses.MISSING for f in optional)
+        for f in optional:
+            assert getattr(loaded, f.name) == f.default
+
+    @pytest.mark.parametrize("cls, d, key", [(ModelConfig, MODEL, "dropout_rate"), (TrainConfig, {"model": MODEL}, "lr")])
+    def test_integer_past_the_float_range_is_config_error(self, cls, d, key):
+        with pytest.raises(ConfigError, match=f"{key}' must be a finite number"):
+            cls.from_dict({**d, key: 10 ** 400})
+
     @pytest.mark.parametrize("overrides", [{"num_heads": 0}, {"model_dim": 0}, {"model_dim": -8},
                                            {"num_layers": 0}, {"num_layers": -1},
                                            {"dropout_rate": 1.0}, {"dropout_rate": 1.5}, {"dropout_rate": -0.1},
@@ -566,7 +583,8 @@ class TestPredict:
     def test_zero_logits_all_positive_at_half(self):
         model = self._trivial_model()
         rec = toy_records(1, seed=28)[0]
-        probs, decisions = predict(model, rec, threshold=0.5)
+        model.config = dataclasses.replace(model.config, threshold=0.5)
+        probs, decisions = predict(model, rec)
         assert np.allclose(probs, 0.5)
         assert decisions.all()          # >= convention at the boundary
 
@@ -578,11 +596,12 @@ class TestPredict:
         assert probs[0] == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), abs=1e-6)
         assert decisions[0]
 
-    def test_threshold_above_one_never_positive(self):
+    def test_threshold_one_never_positive_below_one(self):
         model = self._trivial_model()
+        model.config = dataclasses.replace(model.config, threshold=1.0)
         rec = toy_records(1, seed=30)[0]
-        _, decisions = predict(model, rec, threshold=1.01)
-        assert not decisions.any()
+        probs, decisions = predict(model, rec)
+        assert (probs < 1.0).all() and not decisions.any()
 
 
 class TestParameterCounts:

@@ -289,6 +289,32 @@ class TestTrainer:
                        records, (), part_dir)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_resume_draws_no_initial_weight(self, tmp_path, monkeypatch, arch):
+        records = mean_records(24, seed=59)
+        cfg = partial(TrainConfig, model=small_config(arch), lr=1e-3, batch_size=8, epochs=2, seed=59)
+        full_model, full_hist = train(cfg(), records)
+        part_dir = str(tmp_path / "part")
+        train(cfg(max_steps=2, checkpoint_dir=part_dir), records)
+        draws = []
+
+        def counting(name):
+            draw = getattr(SeededRng, name)
+
+            def wrapper(self, *args, **kwargs):
+                draws.append(name)
+                return draw(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("uniform", "normal"):
+            monkeypatch.setattr(SeededRng, name, counting(name))
+        resumed = Trainer.resume(cfg(), records, (), part_dir)
+        monkeypatch.undo()
+        assert draws == []
+        assert resumed.run().losses == full_hist.losses
+        for k, t in full_model.params.items():
+            assert np.array_equal(t.data, resumed.model.params[k].data)
+
     @pytest.mark.parametrize("failing", ["last.json", "trainer_state.bin", "trainer_state.json"])
     def test_torn_snapshot_is_refused(self, tmp_path, monkeypatch, failing):
         # a resumed run reaches step 4 and its save stops at ``failing``: last.bin

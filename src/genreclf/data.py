@@ -27,7 +27,8 @@ class VideoRecord:
 
     def get_features(self) -> dict[str, np.ndarray]:
         """In-memory features, or the .mmf file's read-only views, read anew
-        on each call and not kept; ``clip_frames`` selects clip rows."""
+        on each call and not kept; ``clip_frames`` selects clip rows. A batch
+        calls it when its heads are first read, not when it is made."""
         features = self.features
         if features is None:
             if self.path is None:
@@ -40,18 +41,22 @@ class VideoRecord:
 
 @dataclass
 class Batch:
-    """Each record's head per modality plus the one-hot labels.
+    """A minibatch: its records, their one-hot labels and ids, and the stream
+    specs, none of which reads a file, plus each record's head per stream.
 
     ``heads[name][i]`` is a float32 view of record i's sequence cut to the
-    batch length L of ``shapes[name] = (L, D)``. The padded (B, L, D)
-    ``features`` and (B, L) ``masks`` (pad rows zero and False) are built
-    together on first access and then kept; no model reads them.
-    ``means`` averages the heads' own rows. ``memos``, when set, holds one
-    dict per record that keeps each mean it computes, keyed by (modality,
-    rows averaged), for later batches of the same record to read.
+    batch length L of ``shapes[name] = (L, D)``, read when ``heads`` is first
+    read: a batch whose means all come from memos reads no file. A training
+    batch's L is its spec's ``train_max_len``; a full-length batch reads its
+    records to find it. The padded (B, L, D) ``features`` and (B, L) ``masks``
+    (pad rows zero and False) are built together on first access and then
+    kept; no model reads them. ``means`` averages the heads' own rows. Each
+    dict of ``memos``, when set, keeps one record's means under (modality, c),
+    the mean of its rows [:c], for its later batches to read without reading it.
     """
-    heads: dict[str, list[np.ndarray]]
-    shapes: dict[str, tuple[int, int]]
+    records: list[VideoRecord]
+    specs: tuple
+    lengths: str                      # "train" or "full"; see make_batch
     labels: np.ndarray                # (B, 21) float32
     ids: list[str]
     memos: list[dict] | None = None
@@ -59,6 +64,32 @@ class Batch:
     @property
     def size(self) -> int:
         return self.labels.shape[0]
+
+    @cached_property
+    def heads(self) -> dict[str, list[np.ndarray]]:
+        per_record = [r.get_features() for r in self.records]
+        heads = {}
+        for spec in self.specs:
+            seqs = []
+            for r, f in zip(self.records, per_record):
+                seq = f.get(spec.name)
+                if seq is None:
+                    seq = np.zeros((0, spec.input_dim), dtype=np.float32)
+                seq = np.asarray(seq)
+                if seq.ndim != 2 or seq.shape[1] != spec.input_dim:
+                    raise DataError(f"record {r.id} modality {spec.name}: shape {seq.shape} "
+                                    f"incompatible with input_dim {spec.input_dim}")
+                seqs.append(seq)
+            limit = self.shapes[spec.name][0] if self.lengths == "train" else None
+            heads[spec.name] = [s[:limit].astype(np.float32, copy=False) for s in seqs]
+        return heads
+
+    @cached_property
+    def shapes(self) -> dict[str, tuple[int, int]]:
+        if self.lengths == "train":
+            return {spec.name: (max(spec.train_max_len, 0), spec.input_dim) for spec in self.specs}
+        return {spec.name: (max((len(h) for h in self.heads[spec.name]), default=0), spec.input_dim)
+                for spec in self.specs}
 
     @cached_property
     def _padded(self):
@@ -78,12 +109,12 @@ class Batch:
         ``limit`` rows: bit-equal to ``temporal_average`` of the padded
         batch, without building it. A mean in the record's memo is read
         from it, and one computed is stored there read-only."""
-        heads = [head[:limit] for head in self.heads[name]]
+        cut = self.shapes[name][0]
+        key = (name, cut if limit is None else min(limit, cut))
         rows = []
-        for head, memo in zip(heads, self.memos or [{} for _ in heads]):
-            key = (name, len(head))
+        for i, memo in enumerate(self.memos or [{} for _ in self.records]):
             if key not in memo:
-                memo[key] = temporal_average(head)
+                memo[key] = temporal_average(self.heads[name][i][:limit])
                 memo[key].flags.writeable = False
             rows.append(memo[key])
         return np.stack(rows) if rows else np.zeros((0, self.shapes[name][1]), dtype=np.float32)
@@ -228,36 +259,15 @@ def temporal_average(seq: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
 
 
 def make_batch(records, specs, lengths: str = "train") -> Batch:
-    """Collect each record's per-modality head for a list of records.
+    """A batch of records whose heads are read on first access; see ``Batch``.
 
     ``lengths="train"`` cuts every sequence to its spec's train_max_len
     (head of the sequence kept). ``lengths="full"`` keeps the longest
     sequence in the batch whole, which for a single record means no
-    padding at all. Nothing is copied or padded here; see ``Batch``.
+    padding at all. Nothing is read, copied or padded here.
     """
     if lengths not in ("train", "full"):
         raise ValueError(f"lengths must be 'train' or 'full', got {lengths!r}")
-    heads = {}
-    shapes = {}
-    n = len(records)
-    per_record = [r.get_features() for r in records]
-    for spec in specs:
-        seqs = []
-        for r, f in zip(records, per_record):
-            seq = f.get(spec.name)
-            if seq is None:
-                seq = np.zeros((0, spec.input_dim), dtype=np.float32)
-            seq = np.asarray(seq)
-            if seq.ndim != 2 or seq.shape[1] != spec.input_dim:
-                raise DataError(
-                    f"record {r.id} modality {spec.name}: shape {seq.shape} incompatible with input_dim {spec.input_dim}")
-            seqs.append(seq)
-        if lengths == "train":
-            limit = spec.train_max_len
-        else:
-            limit = max((s.shape[0] for s in seqs), default=0)
-        limit = max(limit, 0)
-        heads[spec.name] = [s[:limit].astype(np.float32, copy=False) for s in seqs]
-        shapes[spec.name] = (limit, spec.input_dim)
-    labels = np.stack([label_vector(r.genres) for r in records]) if n else np.zeros((0, len(GENRES)), dtype=np.float32)
-    return Batch(heads=heads, shapes=shapes, labels=labels, ids=[r.id for r in records])
+    labels = (np.stack([label_vector(r.genres) for r in records]) if records
+              else np.zeros((0, len(GENRES)), dtype=np.float32))
+    return Batch(records=records, specs=tuple(specs), lengths=lengths, labels=labels, ids=[r.id for r in records])

@@ -92,11 +92,11 @@ class ModelConfig:
 
 
 def _check_modality(batch: Batch, spec: ModalitySpec):
-    if spec.name not in batch.heads:
+    width = {s.name: s.input_dim for s in batch.specs}.get(spec.name)
+    if width is None:
         raise DataError(f"batch is missing modality {spec.name!r}")
-    if batch.shapes[spec.name][1] != spec.input_dim:
-        raise DataError(f"modality {spec.name}: batch width {batch.shapes[spec.name]} "
-                        f"incompatible with input_dim {spec.input_dim}")
+    if width != spec.input_dim:
+        raise DataError(f"modality {spec.name}: batch width {width} incompatible with input_dim {spec.input_dim}")
 
 
 class _Model:

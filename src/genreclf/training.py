@@ -133,8 +133,10 @@ class Trainer:
     ``memos`` holds one dict per training record, which its training batches
     carry as ``Batch.memos``: the mean of each stream the model averages is
     computed once per Trainer, not once per epoch, and kept as 4 * input_dim
-    bytes. A resumed Trainer starts with empty memos. Scoring batches carry
-    none, so scoring keeps nothing between batches."""
+    bytes. A batch reads its records only when the model reads their rows, so
+    an mlp Trainer reads each training file in epoch 1 alone, and misses one
+    that changes or vanishes later. A resumed Trainer starts with empty memos.
+    Scoring batches carry none, so scoring keeps nothing between batches."""
 
     def __init__(self, config: TrainConfig, train_records, val_records=()):
         self._setup(config, train_records, val_records, config.seed)
@@ -166,12 +168,15 @@ class Trainer:
     # -- core -------------------------------------------------------------
     def _train_step(self, batch):
         model = self.model
-        logits = model.forward(batch, train=True, rng=self.dropout_rng)
-        loss = weighted_bce(logits, batch.labels, model.config.positive_weight)
-        loss_val = loss.item()
-        if not np.isfinite(loss_val):
+        try:   # a forward that raises, reading a bad record for one, leaves no node on the tape
+            logits = model.forward(batch, train=True, rng=self.dropout_rng)
+            loss = weighted_bce(logits, batch.labels, model.config.positive_weight)
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                raise NumericError(f"non-finite loss {loss_val} at step {self.global_step} on batch ids {batch.ids}")
+        except BaseException:
             ag.clear_tape()
-            raise NumericError(f"non-finite loss {loss_val} at step {self.global_step} on batch ids {batch.ids}")
+            raise
         model.params.zero_grad()
         ag.backward(loss)
         clip_global_norm([p.grad for p in model.params.tensors()], self.config.clip_norm)

@@ -166,8 +166,9 @@ class TestMakeBatch:
         r = VideoRecord(id="bad", duration_s=60.0, genres=("Action",),
                         features={"clip": np.zeros((3, 99), dtype=np.float32),
                                   "ocr": np.zeros((1, 4), dtype=np.float32)})
+        batch = make_batch([r], SMALL_SPECS)   # reads nothing yet
         with pytest.raises(DataError, match="incompatible"):
-            make_batch([r], SMALL_SPECS)
+            batch.heads
 
     def test_full_lengths_single_record_unpadded(self):
         rng = SeededRng(5)

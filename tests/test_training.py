@@ -207,6 +207,22 @@ class TestTrainer:
         with pytest.raises(NumericError, match="batch ids"):
             trainer.run()
 
+    @pytest.mark.parametrize("fault", ("missing stream", "truncated file"))
+    def test_step_that_raises_leaves_an_empty_tape(self, tmp_path, fault):
+        # the clip encoder records nodes before the fault surfaces in the ocr stream or the first read
+        records = memo_records(tmp_path, n=4)
+        specs = MEMO_SPECS
+        if fault == "missing stream":
+            specs = MEMO_SPECS[:1]
+        else:
+            with open(records[2].path, "r+b") as f:
+                f.truncate(40)
+        cfg = TrainConfig(model=small_config("multi_transformer", modalities=MEMO_SPECS), lr=1e-3, seed=6)
+        trainer = Trainer(cfg, records)
+        with pytest.raises(DataError):
+            trainer._train_step(make_batch(records, specs))
+        assert ag.tape_size() == 0
+
     def test_checkpoint_resume_bit_exact(self, tmp_path):
         records = mean_records(24, seed=11)
         full_cfg = TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=3, seed=13)
@@ -725,7 +741,8 @@ class TestStreamMeanMemo:
         specs = {s.name: s for s in MEMO_SPECS}
         for r, memo in zip(trainer.train_records, trainer.memos):
             feats = r.get_features()
-            assert sorted(memo) == sorted((name, min(len(feats[name]), specs[name].train_max_len)) for name in averaged)
+            # keyed by the row cut a training batch knows without reading the record
+            assert sorted(memo) == sorted((name, specs[name].train_max_len) for name in averaged)
             for (name, rows), mean in memo.items():
                 assert mean.dtype == np.float32 and mean.shape == (specs[name].input_dim,)
                 assert not mean.flags.writeable and mean.flags.owndata
@@ -751,6 +768,40 @@ class TestStreamMeanMemo:
             assert t.data.tobytes() == resumed.model.params[name].data.tobytes()
         for f in ("last.bin", "last.json", "trainer_state.bin", "trainer_state.json"):
             assert open(os.path.join(part_dir, f), "rb").read() == whole_files[f], f
+
+
+class TestReadsOnDemand:
+    """A batch reads a record's file only when the model reads its rows."""
+
+    def test_mlp_reads_each_training_file_in_epoch_one_alone(self, tmp_path, monkeypatch):
+        records = memo_records(tmp_path)
+        train_paths, val_paths = [r.path for r in records[:14]], [r.path for r in records[14:]]
+        cfg = TrainConfig(model=small_config("mlp", modalities=MEMO_SPECS), lr=1e-3, batch_size=6, epochs=3,
+                          eval_interval=2, seed=89)
+        trainer = Trainer(cfg, records[:14], records[14:])
+        reads, real = [], data.read_mmf
+        monkeypatch.setattr(data, "read_mmf", lambda path: reads.append((trainer.epoch, path)) or real(path))
+        trainer.run()
+        assert len(trainer.history.losses) == 9 and len(trainer.history.evals) == 4
+        assert sorted(p for e, p in reads if p in train_paths) == sorted(train_paths)
+        assert {e for e, p in reads if p in train_paths} == {0}
+        assert sorted(p for e, p in reads if p in val_paths) == sorted(val_paths * 4)
+        assert {e for e, p in reads if p in val_paths} == {0, 1, 2}
+        del reads[:]
+        evaluate(trainer.model, records)
+        assert sorted(p for _, p in reads) == sorted(train_paths + val_paths)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_path_backed_run_equals_in_memory_run_bit_for_bit(self, tmp_path, arch):
+        disk = memo_records(tmp_path)
+        memory = [replace(r, path=None, features={k: np.array(v) for k, v in r.get_features().items()})
+                  for r in disk]
+        on_disk, disk_files = memo_run(Trainer, disk, str(tmp_path / "disk"), arch)
+        in_memory, memory_files = memo_run(Trainer, memory, str(tmp_path / "memory"), arch)
+        assert len(on_disk.history.losses) == 9 and on_disk.history.losses == in_memory.history.losses
+        for name, t in on_disk.model.params.items():
+            assert t.data.tobytes() == in_memory.model.params[name].data.tobytes()
+        assert disk_files == memory_files
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)

@@ -112,6 +112,9 @@ def load_checkpoint(stem: str):
     """Rebuild the model described by ``<stem>.json`` with the parameters
     stored in ``<stem>.bin``, drawing no initial weights."""
     config, arrays = read_checkpoint(stem)
-    model = build_model(config, seed=None)
+    try:
+        model = build_model(config, seed=None)
+    except ConfigError as exc:
+        raise DataError(f"{stem}.json: {exc}") from None
     model.params.load_arrays(arrays)
     return model

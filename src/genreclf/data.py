@@ -3,6 +3,7 @@ minibatch assembly."""
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,24 +42,23 @@ class VideoRecord:
 
 @dataclass
 class Batch:
-    """A minibatch: its records, their one-hot labels and ids, and the stream
-    specs, none of which reads a file, plus each record's head per stream.
+    """A minibatch: its records, their one-hot labels and the stream specs,
+    none of which reads a file, plus each record's head per stream.
 
-    ``heads[name][i]`` is a float32 view of record i's sequence cut to the
-    batch length L of ``shapes[name] = (L, D)``, read when ``heads`` is first
-    read: a batch whose means all come from memos reads no file. A training
-    batch's L is its spec's ``train_max_len``; a full-length batch reads its
-    records to find it. The padded (B, L, D) ``features`` and (B, L) ``masks``
-    (pad rows zero and False) are built together on first access and then
-    kept; no model reads them. ``means`` averages the heads' own rows. Each
-    dict of ``memos``, when set, keeps one record's means under (modality, c),
-    the mean of its rows [:c], for its later batches to read without reading it.
+    ``heads[name][i]`` is a float32 view of record i's sequence, read when
+    ``heads`` is first read: a batch whose means all come from memos reads no
+    file. A training batch cuts each head at its spec's ``train_max_len``; a
+    full-length batch keeps it whole. The padded (B, L, D) ``features`` and
+    (B, L) ``masks`` (L the cut, or the longest head of a full batch; pad rows
+    zero and False) are built together on first access and then kept; no
+    model reads them. ``means`` averages the heads' own rows. Each dict of
+    ``memos``, when set, keeps one record's means under (name, limit) as
+    ``means`` was called, for its later batches to read without reading it.
     """
     records: list[VideoRecord]
     specs: tuple
     lengths: str                      # "train" or "full"; see make_batch
     labels: np.ndarray                # (B, 21) float32
-    ids: list[str]
     memos: list[dict] | None = None
 
     @property
@@ -80,23 +80,18 @@ class Batch:
                     raise DataError(f"record {r.id} modality {spec.name}: shape {seq.shape} "
                                     f"incompatible with input_dim {spec.input_dim}")
                 seqs.append(seq)
-            limit = self.shapes[spec.name][0] if self.lengths == "train" else None
+            limit = spec.train_max_len if self.lengths == "train" else None
             heads[spec.name] = [s[:limit].astype(np.float32, copy=False) for s in seqs]
         return heads
 
     @cached_property
-    def shapes(self) -> dict[str, tuple[int, int]]:
-        if self.lengths == "train":
-            return {spec.name: (max(spec.train_max_len, 0), spec.input_dim) for spec in self.specs}
-        return {spec.name: (max((len(h) for h in self.heads[spec.name]), default=0), spec.input_dim)
-                for spec in self.specs}
-
-    @cached_property
     def _padded(self):
         feats, masks = {}, {}
-        for name, heads in self.heads.items():
-            x = feats[name] = np.zeros((len(heads),) + self.shapes[name], dtype=np.float32)
-            m = masks[name] = np.zeros(x.shape[:2], dtype=bool)
+        for spec in self.specs:
+            heads = self.heads[spec.name]
+            cut = spec.train_max_len if self.lengths == "train" else max(map(len, heads), default=0)
+            x = feats[spec.name] = np.zeros((len(heads), cut, spec.input_dim), dtype=np.float32)
+            m = masks[spec.name] = np.zeros(x.shape[:2], dtype=bool)
             for i, head in enumerate(heads):
                 x[i, :len(head)], m[i, :len(head)] = head, True
         return feats, masks
@@ -107,17 +102,18 @@ class Batch:
     def means(self, name: str, limit: int = None) -> np.ndarray:
         """(B, D) float32 temporal mean of each head, or of its first
         ``limit`` rows: bit-equal to ``temporal_average`` of the padded
-        batch, without building it. A mean in the record's memo is read
-        from it, and one computed is stored there read-only."""
-        cut = self.shapes[name][0]
-        key = (name, cut if limit is None else min(limit, cut))
+        batch, without building it. A mean in the record's memo under
+        (name, limit) is read from it; one computed is stored read-only."""
+        key = (name, limit)
         rows = []
         for i, memo in enumerate(self.memos or [{} for _ in self.records]):
             if key not in memo:
                 memo[key] = temporal_average(self.heads[name][i][:limit])
                 memo[key].flags.writeable = False
             rows.append(memo[key])
-        return np.stack(rows) if rows else np.zeros((0, self.shapes[name][1]), dtype=np.float32)
+        if rows:
+            return np.stack(rows)
+        return np.zeros((0, next(s.input_dim for s in self.specs if s.name == name)), dtype=np.float32)
 
 
 @dataclass
@@ -216,21 +212,13 @@ def split_dataset(records) -> dict[str, str]:
     """
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise DataError(f"duplicate record ids: {dupes[:5]}")
     ordered = sorted(ids, key=lambda s: s.encode("utf-8"))
-    n = len(ordered)
-    n_train = (7 * n) // 10
-    n_val = n // 10
-    assignment = {}
-    for i, vid in enumerate(ordered):
-        if i < n_train:
-            assignment[vid] = "train"
-        elif i < n_train + n_val:
-            assignment[vid] = "val"
-        else:
-            assignment[vid] = "test"
-    return assignment
+    n_train = (7 * len(ordered)) // 10
+    n_val = len(ordered) // 10
+    return {vid: "train" if i < n_train else "val" if i < n_train + n_val else "test"
+            for i, vid in enumerate(ordered)}
 
 
 def split_records(records) -> dict[str, list[VideoRecord]]:
@@ -268,6 +256,5 @@ def make_batch(records, specs, lengths: str = "train") -> Batch:
     """
     if lengths not in ("train", "full"):
         raise ValueError(f"lengths must be 'train' or 'full', got {lengths!r}")
-    labels = (np.stack([label_vector(r.genres) for r in records]) if records
-              else np.zeros((0, len(GENRES)), dtype=np.float32))
-    return Batch(records=records, specs=tuple(specs), lengths=lengths, labels=labels, ids=[r.id for r in records])
+    labels = np.array([label_vector(r.genres) for r in records], dtype=np.float32).reshape(-1, len(GENRES))
+    return Batch(records=records, specs=tuple(specs), lengths=lengths, labels=labels)

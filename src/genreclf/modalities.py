@@ -20,18 +20,19 @@ class ModalitySpec:
     train_max_len: int
     temporal_average: bool = False
 
+    def __post_init__(self):
+        for key in ("input_dim", "train_max_len"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"modality {self.name!r} field {key!r} must be >= 1, got {getattr(self, key)}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
-        """A spec from config: the name must be a default-schema modality
-        and both sizes at least 1, else a ConfigError naming the field."""
+        """A spec from config: the name must be a default-schema modality,
+        else a ConfigError naming it; sizes are checked when a spec is built."""
         name = config_field(d, "name", str, where="modality")
         if name not in SPEC_BY_NAME:
             raise ConfigError(f"modality {name!r} is not one of {', '.join(SPEC_BY_NAME)}")
-        spec = config_fields(cls, d, f"modality {name!r}", name=name)
-        for key in ("input_dim", "train_max_len"):
-            if getattr(spec, key) < 1:
-                raise ConfigError(f"modality {name!r} field {key!r} must be >= 1, got {getattr(spec, key)}")
-        return spec
+        return config_fields(cls, d, f"modality {name!r}", name=name)
 
 
 DEFAULT_SPECS = (

@@ -140,7 +140,7 @@ class _TransformerModel(_Model):
                 lengths = np.minimum(lengths, 1)
                 x, width = batch.means(spec.name, limit=spec.train_max_len)[lengths > 0], 1
             else:
-                x, width = np.concatenate(heads), min(batch.shapes[spec.name][0], spec.train_max_len)
+                x, width = np.concatenate(heads), spec.train_max_len
             starts = np.cumsum(lengths) - lengths
             pos = ag.take(self.params[f"pos.{spec.name}"], np.arange(len(x)) - np.repeat(starts, lengths))
             blocks.append(ag.add(self.proj[spec.name](Tensor(x)), pos))
@@ -236,8 +236,14 @@ _MODEL_CLASSES = {
 
 def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> _Model:
     """A model initialised from ``seed``; with ``seed`` None every drawn
-    weight is zero and nothing is drawn, for parameters loaded next."""
-    return _MODEL_CLASSES[config.architecture](config, seed, dtype=dtype)
+    weight is zero and nothing is drawn, for parameters loaded next. Sizes
+    past what numpy can allocate are a ConfigError."""
+    try:
+        return _MODEL_CLASSES[config.architecture](config, seed, dtype=dtype)
+    except (MemoryError, ValueError) as exc:   # numpy's ValueError: an array past its size limits
+        streams = ", ".join(f"{s.name} {s.input_dim}x{s.train_max_len}" for s in config.modalities)
+        raise ConfigError(f"{config.architecture} with model_dim {config.model_dim} and streams {streams} "
+                          f"(input_dim x train_max_len) cannot be allocated: {exc}") from None
 
 
 def predict_scores(model: _Model, batch: Batch) -> np.ndarray:

@@ -133,8 +133,9 @@ class Trainer:
     ``memos`` holds one dict per training record, which its training batches
     carry as ``Batch.memos``: the mean of each stream the model averages is
     computed once per Trainer, not once per epoch, and kept as 4 * input_dim
-    bytes. A batch reads its records only when the model reads their rows, so
-    an mlp Trainer reads each training file in epoch 1 alone, and misses one
+    bytes under (stream, limit) as the model passes them to ``Batch.means``.
+    A batch reads its records only when the model reads their rows, so an
+    mlp Trainer reads each training file in epoch 1 alone, and misses one
     that changes or vanishes later. A resumed Trainer starts with empty memos.
     Scoring batches carry none, so scoring keeps nothing between batches."""
 
@@ -173,7 +174,7 @@ class Trainer:
             loss = weighted_bce(logits, batch.labels, model.config.positive_weight)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                raise NumericError(f"non-finite loss {loss_val} at step {self.global_step} on batch ids {batch.ids}")
+                raise NumericError(f"non-finite loss {loss_val} at step {self.global_step} on batch ids {[r.id for r in batch.records]}")
         except BaseException:
             ag.clear_tape()
             raise

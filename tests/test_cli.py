@@ -364,6 +364,27 @@ class TestConfigChecks:
         assert "config error" in err and "num_layers" in err and "Traceback" not in err
         assert not (tmp_path / "x" / "best.json").exists()
 
+    @pytest.mark.parametrize("arch, path, value", [
+        ("mlp", ("model_dim",), 10**15), ("multi_transformer", ("model_dim",), 10**15),
+        ("single_transformer", ("modalities", 0, "train_max_len"), 10**20),
+        ("multi_transformer", ("modalities", 0, "train_max_len"), 10**20),
+    ])
+    def test_sizes_too_large_to_allocate_are_config_error(self, mean_data, tmp_path, capsys, arch, path, value):
+        # every size here asks for more than 1 EiB, so the allocation fails at once
+        cfg = small_train_config(tmp_path, arch=arch)
+        doc = json.load(open(cfg))
+        target = doc["model"]
+        for k in path[:-1]:
+            target = target[k]
+        target[path[-1]] = value
+        json.dump(doc, open(cfg, "w"))
+        rc = main(["train", "--config", cfg, "--data", mean_data, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config error: {arch} with model_dim" in err and "cannot be allocated" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "best.json").exists()
+
     @pytest.mark.parametrize("flags", [["--max-steps", "0"], ["--epochs", "0"]])
     def test_run_without_steps_exits_zero(self, mean_data, tmp_path, capsys, flags):
         out = str(tmp_path / "x")
@@ -569,6 +590,24 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert rc == 3
         assert "data error" in err and "threshold must be in [0, 1]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("eval", "predict"))
+    def test_checkpoint_too_large_to_allocate_is_data_error(self, mean_data, trained, tmp_path, capsys, command):
+        # the manifest still fits the blob, so only building the model fails, asking for more than 1 EiB
+        stem = str(tmp_path / "ck")
+        shutil.copy(os.path.join(trained, "best.bin"), stem + ".bin")
+        doc = json.load(open(os.path.join(trained, "best.json")))
+        doc["config"]["model_dim"] = 10**15
+        json.dump(doc, open(stem + ".json", "w"))
+        out = tmp_path / "out"
+        where = (["--data", mean_data, "--out", str(out)] if command == "eval"
+                 else ["--input", os.path.join(mean_data, "synth000000.mmf")])
+        rc = main([command, "--checkpoint", stem] + where)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"data error: {stem}.json: mlp with model_dim" in err and "cannot be allocated" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_eval_defaults_to_the_checkpoint_threshold(self, mean_data, trained, tmp_path):

@@ -12,7 +12,7 @@ from genreclf.errors import DataError, MmfFormatError
 from genreclf.mmf import import_npy, read_mmf, write_atomic, write_mmf
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec, default_modalities
 from genreclf.rng import SeededRng
-from genreclf.vocab import GENRES
+from genreclf.vocab import GENRES, label_vector
 
 
 def rec(i, duration=100.0, genres=("Action",), features=None):
@@ -64,6 +64,13 @@ class TestSplit:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             split_dataset([rec(1), rec(1)])
+
+    def test_duplicate_ids_named_sorted_first_five(self):
+        ids = ["g", "c", "a", "x", "c", "f", "e", "g", "d", "a", "f", "b", "e", "d", "c", "b"]
+        records = [VideoRecord(id=i, duration_s=50.0, genres=("Drama",)) for i in ids]
+        with pytest.raises(DataError) as info:
+            split_dataset(records)
+        assert str(info.value) == "duplicate record ids: ['a', 'b', 'c', 'd', 'e']"
 
 
 class TestTemporalAverage:
@@ -160,7 +167,8 @@ class TestMakeBatch:
         rng = SeededRng(4)
         records = [small_record(i, 3, 2, rng) for i in range(5)]
         batch = make_batch(records, SMALL_SPECS)
-        assert batch.ids == [r.id for r in records]
+        assert [r.id for r in batch.records] == [r.id for r in records]
+        assert batch.labels.tobytes() == np.stack([label_vector(r.genres) for r in records]).tobytes()
 
     def test_dim_mismatch_rejected(self):
         r = VideoRecord(id="bad", duration_s=60.0, genres=("Action",),
@@ -183,7 +191,7 @@ class TestBatchHeads:
     @example(d=1, max_len=3, lens=[0, 5, 2], missing=[False, False, True], lengths="train", limit=None,
              scale=1.0)
     @example(d=2, max_len=4, lens=[], missing=[], lengths="full", limit=2, scale=1.0)
-    @given(d=st.integers(1, 5), max_len=st.integers(0, 8), lens=st.lists(st.integers(0, 12), max_size=4),
+    @given(d=st.integers(1, 5), max_len=st.integers(1, 8), lens=st.lists(st.integers(0, 12), max_size=4),
            missing=st.lists(st.booleans(), min_size=4, max_size=4), lengths=st.sampled_from(("train", "full")),
            limit=st.none() | st.integers(0, 10), scale=st.sampled_from((1e-3, 1.0, 1e3)))
     def test_means_equal_temporal_average_of_padded(self, d, max_len, lens, missing, lengths, limit, scale):
@@ -207,7 +215,7 @@ class TestBatchHeads:
         assert [h.shape for h in batch.heads["clip"]] == [(6, 8), (3, 8)]
         assert all(np.shares_memory(h, r.features["clip"]) for h, r in zip(batch.heads["clip"], records))
         assert batch.heads["ocr"][1].dtype == np.float32
-        assert batch.shapes == {"clip": (6, 8), "ocr": (3, 4)}
+        assert {name: x.shape for name, x in batch.features.items()} == {"clip": (2, 6, 8), "ocr": (2, 3, 4)}
 
     def test_padded_tensors_built_once_and_kept(self):
         batch = make_batch([small_record(0, 4, 1, SeededRng(7))], SMALL_SPECS)

@@ -1,14 +1,18 @@
-"""Bounded fuzzing of the readers fed by JSON documents: whatever the document
-holds, a bad one is a DataError and nothing else."""
+"""Bounded fuzzing of the readers of feature files and JSON documents:
+whatever the input holds, a bad one is a DataError and nothing else."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genreclf.checkpoint import read_blob
+from genreclf.checkpoint import read_blob, read_checkpoint, save_checkpoint
 from genreclf.data import VideoRecord, load_manifest
 from genreclf.errors import DataError
+from genreclf.mmf import read_mmf, write_mmf
+from genreclf.modalities import ModalitySpec
+from genreclf.models import ModelConfig, build_model
 from genreclf.vocab import GENRES
 
 JSON = st.recursive(
@@ -59,4 +63,89 @@ def test_blob_manifest_of_any_json_reads_or_is_data_error(tmp_path_factory, mani
     except DataError:
         return
     assert sum(a.nbytes for a in arrays.values()) == len(blob)
+    assert all(a.dtype == np.dtype("<f4") for a in arrays.values())
+
+
+@pytest.fixture(scope="module")
+def mmf_bytes(tmp_path_factory):
+    """A valid .mmf file: a stream with rows, an empty one and one of width 1."""
+    path = tmp_path_factory.mktemp("mmf") / "v.mmf"
+    write_mmf({"asr": np.arange(12, dtype=np.float32).reshape(3, 4), "clip": np.zeros((0, 5), dtype=np.float32),
+               "ocr": np.full((2, 1), -1.5, dtype=np.float32)}, str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@example(edits=[], cut=0, tail=b"")
+@example(edits=[], cut=None, tail=b"\0")
+@example(edits=[(12, 0xff), (13, 0xff), (14, 0xff), (15, 0xff)], cut=None, tail=b"")   # asr's T at 2**32 - 1
+@example(edits=[(9, 0xff)], cut=None, tail=b"")   # asr's name no longer UTF-8
+@given(edits=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255)), max_size=6),
+       cut=st.none() | st.integers(0, 120), tail=st.binary(max_size=8))
+def test_mutated_mmf_reads_or_is_data_error(tmp_path_factory, mmf_bytes, edits, cut, tail):
+    data = bytearray(mmf_bytes)
+    for at, value in edits:
+        data[at % len(data)] = value
+    path = tmp_path_factory.mktemp("mmf") / "x.mmf"
+    path.write_bytes(bytes(data[:cut]) + tail)
+    try:
+        features = read_mmf(str(path))
+    except DataError:
+        return
+    assert all(isinstance(name, str) and x.dtype == np.dtype("<f4") and x.ndim == 2 for name, x in features.items())
+    assert sum(x.nbytes for x in features.values()) < path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def checkpoint_stem(tmp_path_factory):
+    specs = (ModalitySpec("clip", 3, 2), ModalitySpec("ocr", 2, 1, temporal_average=True))
+    model = build_model(ModelConfig("multi_transformer", 4, 1, 2, modalities=specs), seed=9)
+    stem = str(tmp_path_factory.mktemp("checkpoint") / "ck")
+    save_checkpoint(model, stem)
+    return stem
+
+
+def _paths(doc, path=()):
+    """Every place in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@example(picks=[(0, 0)], values=[[]])
+@given(picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2)), max_size=4),
+       values=st.lists(JSON, min_size=4, max_size=4))
+def test_mutated_checkpoint_document_reads_or_is_data_error(tmp_path_factory, checkpoint_stem, picks, values):
+    # each pick replaces, deletes or adds to one place of the saved document
+    with open(checkpoint_stem + ".json") as fh:
+        doc = json.load(fh)
+    for (at, op), value in zip(picks, values):
+        paths = list(_paths(doc))
+        path = paths[at % len(paths)]
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == 0:
+            parent[path[-1]] = value
+        elif op == 1:
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(value)
+        else:
+            parent[f"extra{at}"] = value
+    stem = str(tmp_path_factory.mktemp("checkpoint") / "ck")
+    with open(checkpoint_stem + ".bin", "rb") as src, open(stem + ".bin", "wb") as dst:
+        dst.write(src.read())
+    with open(stem + ".json", "w") as fh:
+        json.dump(doc, fh)
+    try:
+        config, arrays = read_checkpoint(stem)
+    except DataError:
+        return
+    assert isinstance(config, ModelConfig)
     assert all(a.dtype == np.dtype("<f4") for a in arrays.values())

@@ -106,6 +106,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             ModelConfig.preset("single_transformer", **overrides)
 
+    @pytest.mark.parametrize("key", ["input_dim", "train_max_len"])
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("build", [
+        lambda key, value: ModalitySpec(**{**TestConfig.CLIP, key: value}),
+        lambda key, value: dataclasses.replace(ModalitySpec(**TestConfig.CLIP), **{key: value}),
+        lambda key, value: ModalitySpec.from_dict({**TestConfig.CLIP, key: value}),
+    ], ids=["direct", "replace", "from_dict"])
+    def test_modality_size_below_one_is_refused_where_the_spec_is_built(self, build, key, value):
+        with pytest.raises(ConfigError, match=f"^modality 'clip' field '{key}' must be >= 1, got {value}$"):
+            build(key, value)
+
+    @pytest.mark.parametrize("arch, overrides, streams", [
+        ("mlp", {"model_dim": 10**15}, {}),
+        ("multi_transformer", {"model_dim": 10**15}, {}),
+        ("single_transformer", {}, {"train_max_len": 10**20}),
+        ("multi_transformer", {}, {"train_max_len": 10**20}),
+    ])
+    @pytest.mark.parametrize("seed", [5, None])
+    def test_sizes_past_what_numpy_can_allocate_are_config_error(self, arch, overrides, streams, seed):
+        # every size here asks for more than 1 EiB, so the allocation fails at once
+        cfg = dataclasses.replace(toy_config(arch), **overrides,
+                                  modalities=tuple(dataclasses.replace(s, **streams) for s in TOY_SPECS))
+        with pytest.raises(ConfigError, match=f"^{arch} with model_dim .* cannot be allocated"):
+            build_model(cfg, seed=seed)
+
     @pytest.mark.parametrize("path, value", [
         (("model_dim",), "x"), (("model_dim",), True), (("model_dim",), 8.0), (("num_layers",), None),
         (("num_layers",), 0),
@@ -243,7 +268,8 @@ class TestAssembly:
         t_clip = records[0].features["clip"].shape[0]
         t_asr = records[0].features["asr"].shape[0]
         assert seq.shape[0] == 1 + (1 + t_clip) + (1 + 0) + (1 + t_asr)
-        assert seg.padded_rows == seq.shape[0]     # nothing is padded; the empty stream is just its SEP
+        # every stream is laid out at its cap; the empty stream packs to just its SEP
+        assert seg.padded_rows == 1 + sum(1 + s.train_max_len for s in cfg.modalities)
         with no_grad():
             out = model.forward(batch)
         assert out.shape == (1, 21)

@@ -47,13 +47,13 @@ class Batch:
 
     ``heads[name][i]`` is a float32 view of record i's sequence, read when
     ``heads`` is first read: a batch whose means all come from memos reads no
-    file. A training batch cuts each head at its spec's ``train_max_len``; a
-    full-length batch keeps it whole. The padded (B, L, D) ``features`` and
-    (B, L) ``masks`` (L the cut, or the longest head of a full batch; pad rows
-    zero and False) are built together on first access and then kept; no
-    model reads them. ``means`` averages the heads' own rows. Each dict of
-    ``memos``, when set, keeps one record's means under (name, limit) as
-    ``means`` was called, for its later batches to read without reading it.
+    file. Only the batch cuts a stream: a training batch cuts each head at its
+    spec's ``train_max_len``, a full-length batch keeps it whole, and ``means``
+    averages all a head holds. The padded (B, L, D) ``features`` and (B, L)
+    ``masks`` (L the cut, or the longest head of a full batch; pad rows zero
+    and False) are built together on first access and then kept; no model
+    reads them. Each dict of ``memos``, when set, keeps one record's means by
+    stream name, for its later batches to read without reading it.
     """
     records: list[VideoRecord]
     specs: tuple
@@ -99,18 +99,16 @@ class Batch:
     features = property(lambda self: self._padded[0])
     masks = property(lambda self: self._padded[1])
 
-    def means(self, name: str, limit: int = None) -> np.ndarray:
-        """(B, D) float32 temporal mean of each head, or of its first
-        ``limit`` rows: bit-equal to ``temporal_average`` of the padded
-        batch, without building it. A mean in the record's memo under
-        (name, limit) is read from it; one computed is stored read-only."""
-        key = (name, limit)
+    def means(self, name: str) -> np.ndarray:
+        """(B, D) float32 ``temporal_average`` of each head. A mean in the
+        record's memo under ``name`` is read from it; one computed is stored
+        read-only."""
         rows = []
         for i, memo in enumerate(self.memos or [{} for _ in self.records]):
-            if key not in memo:
-                memo[key] = temporal_average(self.heads[name][i][:limit])
-                memo[key].flags.writeable = False
-            rows.append(memo[key])
+            if name not in memo:
+                memo[name] = temporal_average(self.heads[name][i])
+                memo[name].flags.writeable = False
+            rows.append(memo[name])
         if rows:
             return np.stack(rows)
         return np.zeros((0, next(s.input_dim for s in self.specs if s.name == name)), dtype=np.float32)
@@ -229,21 +227,16 @@ def split_records(records) -> dict[str, list[VideoRecord]]:
     return out
 
 
-def temporal_average(seq: np.ndarray, mask: np.ndarray = None) -> np.ndarray:
-    """Mean over valid time steps, or a zero vector when none are valid.
+def temporal_average(seq: np.ndarray) -> np.ndarray:
+    """Mean over the time steps of ``seq``, or a zero vector when it has none.
 
-    ``seq`` is (..., T, D) with an optional (..., T) validity mask; the
-    result is (..., D) float32, so a (B, T, D) batch gives (B, D). Without
-    a mask every step is valid and the rows are summed as they are.
-    Accumulates in float64, in row order, before narrowing back; float64
-    sums still depend on that order (``[1e20, -1e20, 1]`` averages to 1/3,
-    ``[1, 1e20, -1e20]`` to 0).
+    ``seq`` is (..., T, D) and the result (..., D) float32, so a (B, T, D)
+    batch gives (B, D). Accumulates in float64, in row order, before
+    narrowing back; float64 sums still depend on that order
+    (``[1e20, -1e20, 1]`` averages to 1/3, ``[1, 1e20, -1e20]`` to 0).
     """
     x = np.asarray(seq)
-    valid = True if mask is None else np.asarray(mask, dtype=bool)[..., None]
-    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=valid)
-    count = x.shape[-2] if mask is None else valid.sum(axis=-2)
-    return (total / np.maximum(count, 1)).astype(np.float32)
+    return (np.add.reduce(x, axis=-2, dtype=np.float64) / max(x.shape[-2], 1)).astype(np.float32)
 
 
 def make_batch(records, specs, lengths: str = "train") -> Batch:

@@ -122,16 +122,21 @@ def _holds(path: str, data: bytes) -> bool:
 
 def read_json(path: str):
     """Parse the JSON file at ``path`` as standard JSON, UTF-8 whatever the
-    locale: bytes that are not UTF-8, and ``NaN``, ``Infinity`` and
-    ``-Infinity``, are a DataError."""
-    def reject(constant):
-        raise DataError(f"{path}: {constant} is not a standard JSON number")
+    locale. Bytes that are not UTF-8, text that is not JSON (named by line
+    and column), an integer past Python's digit limit, nesting past its
+    recursion limit, and ``NaN``, ``Infinity`` and numbers past the float
+    range are a DataError."""
+    def reject(text):
+        raise DataError(f"{path}: {text} is not a standard JSON number")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return json.loads(raw.decode("utf-8"), parse_constant=reject)
+        return json.loads(raw.decode("utf-8"), parse_constant=reject,
+                          parse_float=lambda text: float(text) if np.isfinite(float(text)) else reject(text))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:   # json.JSONDecodeError is a ValueError
+        raise DataError(f"{path}: not standard JSON: {exc}") from None
 
 
 def read_mmf(path: str) -> dict[str, np.ndarray]:

@@ -16,9 +16,9 @@ computes that row alone (``cls_only``), with keys and values from every token;
 are packed rows of one (N, D) matrix and attend over their own sample alone,
 so nothing is computed on padding.
 
-Training batches cut every stream to its ``train_max_len``, so the MLP trains
-on the means of those heads; only scoring reads full sequences, which the MLP
-averages whole and the transformers still cut to their positional tables.
+The batch cuts a stream (to its ``train_max_len`` in training, not at all at
+scoring) and every model averages exactly the rows the batch holds; only token
+streams are cut again, to their positional tables.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -124,7 +124,7 @@ class _TransformerModel(_Model):
         """Each sample's sequence as packed rows: per (marker, spec) of ``parts``
         that marker, then (unless spec is None) the stream's head cut to its
         table, projected in one GEMM for all samples, plus pos[:L_i]; an averaged
-        stream is one token per non-empty head, its mean. -> (x (N, D), Segments)"""
+        stream is one token per non-empty head, its uncut mean. -> (x (N, D), Segments)"""
         b, first = batch.size, len(parts)
         blocks = [ag.concat([ag.reshape(self.params[m], (1, -1)) for m, _ in parts], axis=0)]
         index, valid = [], []
@@ -134,12 +134,12 @@ class _TransformerModel(_Model):
             if spec is None:
                 continue
             _check_modality(batch, spec)
-            heads = [h[:spec.train_max_len] for h in batch.heads[spec.name]]
-            lengths = np.array([len(h) for h in heads], dtype=np.int64)
             if spec.temporal_average:
-                lengths = np.minimum(lengths, 1)
-                x, width = batch.means(spec.name, limit=spec.train_max_len)[lengths > 0], 1
+                lengths = np.array([min(len(h), 1) for h in batch.heads[spec.name]], dtype=np.int64)
+                x, width = batch.means(spec.name)[lengths > 0], 1
             else:
+                heads = [h[:spec.train_max_len] for h in batch.heads[spec.name]]
+                lengths = np.array([len(h) for h in heads], dtype=np.int64)
                 x, width = np.concatenate(heads), spec.train_max_len
             starts = np.cumsum(lengths) - lengths
             pos = ag.take(self.params[f"pos.{spec.name}"], np.arange(len(x)) - np.repeat(starts, lengths))

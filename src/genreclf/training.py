@@ -133,7 +133,7 @@ class Trainer:
     ``memos`` holds one dict per training record, which its training batches
     carry as ``Batch.memos``: the mean of each stream the model averages is
     computed once per Trainer, not once per epoch, and kept as 4 * input_dim
-    bytes under (stream, limit) as the model passes them to ``Batch.means``.
+    bytes under the stream's name: the mean of the head its batches cut.
     A batch reads its records only when the model reads their rows, so an
     mlp Trainer reads each training file in epoch 1 alone, and misses one
     that changes or vanishes later. A resumed Trainer starts with empty memos.

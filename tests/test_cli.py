@@ -2,10 +2,13 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import genreclf
 from genreclf.cli import main
 from genreclf.data import load_manifest
 from genreclf.metrics import report_from_csv
@@ -201,6 +204,15 @@ class TestTrain:
         assert rc == 3
         assert "manifest.json: not UTF-8 text" in err and "Traceback" not in err
 
+    def test_truncated_feature_file_is_data_error_naming_it(self, mean_data, tmp_path, capsys):
+        data = tmp_path / "trunc"
+        shutil.copytree(mean_data, data)
+        os.truncate(data / "synth000000.mmf", 40)
+        rc = main(["train", "--preset", "mlp", "--max-steps", "3", "--data", str(data), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "data error" in err and "synth000000.mmf" in err and "Traceback" not in err
+
     def test_train_writes_history_and_checkpoints(self, mean_data, tmp_path):
         cfg = small_train_config(tmp_path)
         out = str(tmp_path / "run")
@@ -295,6 +307,7 @@ class TestConfigChecks:
         err = capsys.readouterr().err
         assert rc == 2
         assert flags[0][2:].replace("-", "_") in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("path, value", [
         (("model", "model_dim"), "x"), (("model", "num_heads"), 0), (("model", "dropout_rate"), 1.5),
@@ -763,3 +776,20 @@ class TestFramesSweep:
     def test_default_frame_counts(self):
         from genreclf.cli import SWEEP_FRAME_COUNTS
         assert SWEEP_FRAME_COUNTS == (8, 16, 32, 64, 128, 256)
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--batch-size", "0"], 2, "config error: batch_size"),
+    (["--data", "utf16"], 3, "manifest.json: not UTF-8 text"),
+], ids=["config-error", "data-error"])
+def test_module_entry_point_exits_with_the_code_and_no_traceback(mean_data, tmp_path, flags, code, message):
+    # a fresh interpreter, as the console script runs, rather than main() in this one
+    (tmp_path / "utf16").mkdir()
+    (tmp_path / "utf16" / "manifest.json").write_bytes(b"\xff\xfe{}")
+    src = os.path.dirname(os.path.dirname(genreclf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "genreclf.cli", "train", "--preset", "mlp", "--data", mean_data, "--out", "run"]
+    proc = subprocess.run(argv + flags, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()

@@ -1,18 +1,22 @@
 """Bounded fuzzing of the readers of feature files and JSON documents:
-whatever the input holds, a bad one is a DataError and nothing else."""
+whatever the input holds, a bad one is a DataError (or, for a trainer state,
+a ConfigError) and nothing else."""
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genreclf.checkpoint import read_blob, read_checkpoint, save_checkpoint
-from genreclf.data import VideoRecord, load_manifest
-from genreclf.errors import DataError
+from genreclf.data import VideoRecord, load_manifest, write_manifest
+from genreclf.errors import ConfigError, DataError
 from genreclf.mmf import read_mmf, write_mmf
 from genreclf.modalities import ModalitySpec
 from genreclf.models import ModelConfig, build_model
+from genreclf.training import TrainConfig, Trainer
 from genreclf.vocab import GENRES
 
 JSON = st.recursive(
@@ -32,6 +36,26 @@ ENTRY = st.fixed_dictionaries({
     "shape": st.lists(st.integers(0, 3) | st.integers(-1, 2**70), max_size=3) | JSON,
     "offset": st.integers(-4, 40) | st.sampled_from([0, 4, 8, 12]) | JSON,
 }) | JSON
+
+
+# byte edits (position, new byte), then a cut and a tail; new bytes lean to
+# the characters JSON is written in, and only a tail may break UTF-8
+EDIT_BYTE = st.sampled_from(b'0123456789-+.eE"{}[],: ntfu') | st.integers(0, 127)
+BYTE_EDITS = dict(edits=st.lists(st.tuples(st.integers(0, 10**4), EDIT_BYTE), max_size=6),
+                  cut=st.none() | st.integers(0, 600), tail=st.just(b"") | st.binary(max_size=8))
+DIGITS = frozenset(b"0123456789")
+
+
+def _mutated(data: bytes, edits, cut, tail) -> bytes:
+    """``data`` with each edit's byte written at its position modulo the
+    length, a new digit over the digit at its position modulo the digit count
+    (so that more mutants of a JSON text still parse), then cut and tail."""
+    data = bytearray(data)
+    digits = [i for i, b in enumerate(data) if b in DIGITS]
+    for at, value in edits:
+        where = digits if value in DIGITS and digits else range(len(data))
+        data[where[at % len(where)]] = value
+    return bytes(data[:cut]) + tail
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,11 +107,8 @@ def mmf_bytes(tmp_path_factory):
 @given(edits=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255)), max_size=6),
        cut=st.none() | st.integers(0, 120), tail=st.binary(max_size=8))
 def test_mutated_mmf_reads_or_is_data_error(tmp_path_factory, mmf_bytes, edits, cut, tail):
-    data = bytearray(mmf_bytes)
-    for at, value in edits:
-        data[at % len(data)] = value
     path = tmp_path_factory.mktemp("mmf") / "x.mmf"
-    path.write_bytes(bytes(data[:cut]) + tail)
+    path.write_bytes(_mutated(mmf_bytes, edits, cut, tail))
     try:
         features = read_mmf(str(path))
     except DataError:
@@ -149,3 +170,97 @@ def test_mutated_checkpoint_document_reads_or_is_data_error(tmp_path_factory, ch
         return
     assert isinstance(config, ModelConfig)
     assert all(a.dtype == np.dtype("<f4") for a in arrays.values())
+
+
+@pytest.fixture(scope="module")
+def manifest_bytes(tmp_path_factory):
+    """A valid manifest: path-backed, in-memory and duration-less records."""
+    path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+    write_manifest([VideoRecord("v0", 61.5, ("Action", "Drama"), path="v0.mmf"),
+                    VideoRecord("v1", 20, ("Horror",)), VideoRecord("v2", None, ("Comedy",))], str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A 2-step mlp run with validation saved to a directory: (dir, config, records)."""
+    specs = (ModalitySpec("clip", 3, 2), ModalitySpec("ocr", 2, 1))
+    rng = np.random.default_rng(5)
+    records = [VideoRecord(f"r{i}", 60.0, (GENRES[i],), features={s.name: rng.normal(size=(2, s.input_dim))
+                                                                   for s in specs}) for i in range(6)]
+    out = str(tmp_path_factory.mktemp("run"))
+    config = TrainConfig(model=ModelConfig("mlp", 4, 1, 1, modalities=specs), batch_size=2, max_steps=2,
+                         eval_interval=1, checkpoint_dir=out)
+    Trainer(config, records[:4], records[4:]).run()
+    return out, config, records
+
+
+NOT_JSON = [(b'{"a": ', "not standard JSON: Expecting value: line 1 column 7"),
+            (b'{"a": 1}\n,', "not standard JSON: Extra data: line 2 column 1"),
+            (b'{"a": [1e999]}', "1e999 is not a standard JSON number"),
+            (b'{"a": ' + b"7" * 5000 + b"}", "not standard JSON: Exceeds the limit"),
+            (b"[" * 100000, "not standard JSON: maximum recursion depth exceeded")]
+
+
+@pytest.mark.parametrize("text, message", NOT_JSON, ids=["cut", "extra", "float-range", "digits", "nested"])
+@pytest.mark.parametrize("reader", ("manifest", "checkpoint", "trainer_state"))
+def test_text_that_is_not_json_is_data_error_naming_the_place(tmp_path, checkpoint_stem, saved_run, reader, text,
+                                                              message):
+    run_dir, config, records = saved_run
+    if reader == "manifest":
+        path, read = tmp_path / "manifest.json", load_manifest
+    elif reader == "checkpoint":
+        path, read = tmp_path / "ck.json", lambda p: read_checkpoint(p[:-len(".json")])
+        shutil.copyfile(checkpoint_stem + ".bin", tmp_path / "ck.bin")
+    else:
+        path, read = tmp_path / "trainer_state.json", lambda p: Trainer.resume(config, records[:4], (), str(tmp_path))
+        for name in ("last.json", "last.bin", "trainer_state.bin"):
+            shutil.copyfile(os.path.join(run_dir, name), tmp_path / name)
+    path.write_bytes(text)
+    with pytest.raises(DataError) as info:
+        read(str(path))
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**BYTE_EDITS)
+def test_manifest_bytes_mutated_load_or_are_data_error(tmp_path_factory, manifest_bytes, edits, cut, tail):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+    path.write_bytes(_mutated(manifest_bytes, edits, cut, tail))
+    try:
+        records = load_manifest(str(path))
+    except DataError:
+        return
+    assert all(isinstance(r, VideoRecord) and r.genres and set(r.genres) <= set(GENRES) for r in records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**BYTE_EDITS)
+def test_checkpoint_bytes_mutated_read_or_are_data_error(tmp_path_factory, checkpoint_stem, edits, cut, tail):
+    stem = str(tmp_path_factory.mktemp("checkpoint") / "ck")
+    shutil.copyfile(checkpoint_stem + ".bin", stem + ".bin")
+    with open(checkpoint_stem + ".json", "rb") as src, open(stem + ".json", "wb") as dst:
+        dst.write(_mutated(src.read(), edits, cut, tail))
+    try:
+        config, arrays = read_checkpoint(stem)
+    except DataError:
+        return
+    assert isinstance(config, ModelConfig)
+    assert all(a.dtype == np.dtype("<f4") for a in arrays.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(**BYTE_EDITS)
+def test_trainer_state_bytes_mutated_resume_or_are_refused(tmp_path_factory, saved_run, edits, cut, tail):
+    # what resumes must save again as standard JSON
+    run_dir, config, records = saved_run
+    state_dir = tmp_path_factory.mktemp("state")
+    for name in ("last.json", "last.bin", "trainer_state.bin"):
+        shutil.copyfile(os.path.join(run_dir, name), state_dir / name)
+    with open(os.path.join(run_dir, "trainer_state.json"), "rb") as fh:
+        (state_dir / "trainer_state.json").write_bytes(_mutated(fh.read(), edits, cut, tail))
+    try:
+        trainer = Trainer.resume(config, records[:4], records[4:], str(state_dir))
+    except (DataError, ConfigError):
+        return
+    trainer.save_state(str(tmp_path_factory.mktemp("saved")))

@@ -32,6 +32,14 @@ def toy_config(arch, averaged=(), dim=8, heads=2, layers=1, dropout=0.0):
                        dropout_rate=dropout, modalities=mods)
 
 
+def masked_mean(x, mask):
+    """The padded reference of a temporal mean: the (B, D) float32 mean of
+    the rows of (B, T, D) ``x`` where the (B, T) ``mask`` holds, summed in
+    float64 in row order, or zeros where none holds."""
+    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=mask[..., None])
+    return (total / np.maximum(mask.sum(axis=-1), 1)[:, None]).astype(np.float32)
+
+
 def toy_records(n, seed=0, specs=TOY_SPECS, max_extra=0):
     rng = SeededRng(seed)
     records = []
@@ -277,8 +285,9 @@ class TestAssembly:
 
 def padded_logits(model, batch, train=False, rng=None):
     """The padded forward pass the packed models replaced, built from their
-    parameters: each stream zero-padded to its batch length cut to its
-    positional table, pad keys sent to -inf before the softmax, every layer
+    parameters: each token stream zero-padded to its batch length cut to its
+    positional table, each averaged stream the mean of every row the batch
+    holds, pad keys sent to -inf before the softmax, every layer
     computed over all rows with dropout drawn over the whole (B, T, D)
     tensor, and the CLS row read at the end."""
     p, b = model.params, batch.size
@@ -288,8 +297,8 @@ def padded_logits(model, batch, train=False, rng=None):
 
     def stream(spec):
         if spec.temporal_average:
-            x = batch.means(spec.name, limit=spec.train_max_len)[:, None, :]
-            m = np.array([[len(h[:spec.train_max_len]) > 0] for h in batch.heads[spec.name]])
+            x = np.stack([temporal_average(h) for h in batch.heads[spec.name]])[:, None, :]
+            m = np.array([[len(h) > 0] for h in batch.heads[spec.name]])
         else:
             x = batch.features[spec.name][:, :spec.train_max_len]
             m = batch.masks[spec.name][:, :spec.train_max_len]
@@ -443,11 +452,11 @@ class TestPaddingOnDemand:
         ag.clear_tape()
         assert "_padded" not in batch.__dict__
 
-    @pytest.mark.parametrize("arch, cut", [("single_transformer", 4), ("multi_transformer", None)])
-    def test_averaged_stream_reads_the_head_mean(self, arch, cut, monkeypatch):
-        # the padded reduce the averaged branches replaced: cut to ocr's
-        # positional table (4 rows) on single_transformer, over the whole
-        # batch length on multi_transformer
+    @pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
+    def test_averaged_stream_reads_the_head_mean(self, arch, monkeypatch):
+        # the padded reduce the averaged branches replaced, over the whole
+        # batch length on both architectures, although ocr's heads run past
+        # its positional table (4 rows)
         config = toy_config(arch, averaged=("ocr",), dropout=0.3)
         records = toy_records(4, seed=84, max_extra=5)
         records[2].features["ocr"] = np.zeros((0, 6), dtype=np.float32)
@@ -460,9 +469,25 @@ class TestPaddingOnDemand:
                             for s in config.modalities) for r in records]
             assert np.diff(model._assemble(batch)[1].offsets).tolist() == sorted(rows)
             ag.clear_tape()
-        monkeypatch.setattr(Batch, "means", lambda self, name, limit=None: temporal_average(
-            self.features[name][:, :cut], self.masks[name][:, :cut]))
+        monkeypatch.setattr(Batch, "means", lambda self, name: masked_mean(self.features[name], self.masks[name]))
         assert got.tobytes() == model.forward(batch, train=True, rng=SeededRng(86)).data.tobytes()
+
+
+@pytest.mark.parametrize("arch", ("single_transformer", "multi_transformer"))
+def test_scoring_averages_every_row_of_an_averaged_stream(arch):
+    # rows appended past ocr's cap (4) move the score, which is the score of
+    # the whole stream's mean; a training batch cuts them off again
+    model = build_model(toy_config(arch, averaged=("ocr",)), seed=87)
+    record = toy_records(1, seed=88)[0]
+    record.features["ocr"] = SeededRng(89).normal((4, 6)).astype(np.float32)
+    ocr = np.concatenate([record.features["ocr"], SeededRng(90).normal((3, 6)).astype(np.float32)])
+    longer, mean = (dataclasses.replace(record, features={**record.features, "ocr": x})
+                    for x in (ocr, temporal_average(ocr)[None]))
+    scores = [predict(model, r)[0] for r in (record, longer, mean)]
+    assert not np.array_equal(scores[0], scores[1])
+    assert scores[1].tobytes() == scores[2].tobytes()
+    cut = [predict_scores(model, make_batch([r], TOY_SPECS)) for r in (record, longer)]
+    assert cut[0].tobytes() == cut[1].tobytes() == scores[0].tobytes()
 
 
 class TestBatchEquivalence:

@@ -741,15 +741,13 @@ class TestStreamMeanMemo:
         specs = {s.name: s for s in MEMO_SPECS}
         for r, memo in zip(trainer.train_records, trainer.memos):
             feats = r.get_features()
-            # keyed by (stream, limit) as the model passes them to Batch.means:
-            # only single_transformer cuts its averaged streams by a limit
-            limits = {n: s.train_max_len if arch == "single_transformer" else None for n, s in specs.items()}
-            assert sorted(memo) == sorted((name, limits[name]) for name in averaged)
-            for (name, limit), mean in memo.items():
+            # keyed by stream name: each is the mean of the head the training batch cut
+            assert sorted(memo) == sorted(averaged)
+            for name, mean in memo.items():
                 assert mean.dtype == np.float32 and mean.shape == (specs[name].input_dim,)
                 assert not mean.flags.writeable and mean.flags.owndata
                 assert not any(np.shares_memory(mean, view) for view in feats.values())
-                assert mean.tobytes() == real(feats[name][:specs[name].train_max_len][:limit]).tobytes()
+                assert mean.tobytes() == real(feats[name][:specs[name].train_max_len]).tobytes()
         snapshot = [dict(memo) for memo in trainer.memos]
         evaluate(trainer.model, records)
         assert all(memo.keys() == before.keys() and all(memo[k] is before[k] for k in memo)

@@ -30,35 +30,38 @@ _KINDS = {int: "an integer", float: "a finite number", str: "a string", bool: "t
           dict: "an object", list: "a list"}
 
 
-def config_field(d, key: str, kind: type, default=_REQUIRED, where: str = "config"):
-    """``d[key]`` if it is a ``kind`` (a bool is not an int, a float must be
-    finite), else a ``ConfigError`` naming the field. A missing key, or a
-    null where the default is None, gives the default if there is one."""
+def is_kind(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind``: a bool is not an int, a float is finite and a tuple is a list."""
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max   # exact, so no int overflows
+    return isinstance(value, (list, tuple)) if kind is list else type(value) is kind   # to_dict keeps tuples
+
+
+def config_field(d, key: str, kind, default=_REQUIRED, where: str = "config"):
+    """``d[key]`` if it is a ``kind`` (see ``is_kind``), else a ConfigError
+    naming the field. ``kind`` is a type, or a ``type | None`` that also
+    reads a null as None. A missing key gives the default if there is one."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} is not an object: {d!r:.80}")
-    value = d.get(key)
-    if key not in d or (value is None and default is None):
+    if key not in d:
         if default is _REQUIRED:
             raise ConfigError(f"{where} field {key!r} is missing")
         return default
-    if kind is float:
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max   # exact, so no int overflows
-    elif kind is list:
-        ok = isinstance(value, (list, tuple))   # to_dict keeps tuples
-    else:
-        ok = type(value) is kind
-    if not ok:
+    value, kinds = d[key], typing.get_args(kind) or (kind,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = next(t for t in kinds if t is not type(None))
+    if not is_kind(value, kind):
         raise ConfigError(f"{where} field {key!r} must be {_KINDS[kind]}, got {value!r:.80}")
     return float(value) if kind is float else value
 
 
 def config_fields(cls, d, where: str, **given):
     """A ``cls`` dataclass from ``given`` and ``d``: each other field is read
-    by ``config_field`` as its annotated kind (``int | None`` as an int),
-    with the field's own default if it has one."""
+    by ``config_field`` as its annotation (``int | None`` reads an int or a
+    null), with the field's own default if it has one."""
     for f in dataclasses.fields(cls):
         if f.name not in given:
-            kind = next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-            given[f.name] = config_field(d, f.name, kind, default, where)
+            given[f.name] = config_field(d, f.name, f.type, default, where)
     return cls(**given)

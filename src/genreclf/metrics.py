@@ -165,26 +165,18 @@ def to_csv(report: MetricsReport) -> str:
 
 
 def report_from_csv(text: str) -> MetricsReport:
-    rows = list(csv.reader(io.StringIO(text)))
-    meta = rows[0]
-    if meta[0] != "#meta":
-        raise ValueError("missing #meta row")
-    threshold = float(meta[1])
-    n_samples = int(meta[2])
-    excluded = int(meta[3])
-    variant = meta[4]
-    body = rows[2:]
-    genre_rows = [r for r in body if r and r[0] != "AVERAGE"]
-    avg = next(r for r in body if r and r[0] == "AVERAGE")
-    genres = tuple(r[0] for r in genre_rows)
-    return MetricsReport(
-        threshold=threshold, n_samples=n_samples, genres=genres,
-        precision=np.array([float(r[1]) for r in genre_rows]),
-        recall=np.array([float(r[2]) for r in genre_rows]),
-        ap=np.array([float(r[3]) for r in genre_rows]),
-        macro_precision=float(avg[1]),
-        macro_recall=float(avg[2]),
-        mean_ap=float(avg[3]),
-        excluded_genres=excluded,
-        ap_variant=variant,
-    )
+    """The report in ``text``, laid out as ``to_csv`` writes it; a
+    ValueError, and no other error, where it is not."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+        meta, body = rows[0], rows[2:]
+        if meta[0] != "#meta":
+            raise ValueError("missing #meta row")
+        genre_rows = [r for r in body if r and r[0] != "AVERAGE"]
+        avg = next(r for r in body if r and r[0] == "AVERAGE")
+        precision, recall, ap = (np.array([float(r[i]) for r in genre_rows]) for i in (1, 2, 3))
+        return MetricsReport(float(meta[1]), int(meta[2]), tuple(r[0] for r in genre_rows), precision, recall, ap,
+                             float(avg[1]), float(avg[2]), float(avg[3]), excluded_genres=int(meta[3]),
+                             ap_variant=meta[4])
+    except (IndexError, StopIteration, csv.Error) as exc:
+        raise ValueError(f"not a metrics report CSV: {exc!r}") from None

@@ -262,7 +262,7 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
             imported.add(vid)
             records.append(VideoRecord(id=vid, duration_s=duration, genres=tuple(known),
                                        path=out_path))
-        except DataError as exc:
+        except (DataError, OSError) as exc:   # OSError: the entry's .mmf cannot be written
             errors.append(str(exc))
     if records:
         write_manifest(records, os.path.join(out_dir, "manifest.json"))

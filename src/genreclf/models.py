@@ -240,7 +240,7 @@ def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> _Mod
     past what numpy can allocate are a ConfigError."""
     try:
         return _MODEL_CLASSES[config.architecture](config, seed, dtype=dtype)
-    except (MemoryError, ValueError) as exc:   # numpy's ValueError: an array past its size limits
+    except (MemoryError, OverflowError, ValueError) as exc:   # past numpy's size limits, or a width past floats
         streams = ", ".join(f"{s.name} {s.input_dim}x{s.train_max_len}" for s in config.modalities)
         raise ConfigError(f"{config.architecture} with model_dim {config.model_dim} and streams {streams} "
                           f"(input_dim x train_max_len) cannot be allocated: {exc}") from None

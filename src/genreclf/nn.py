@@ -73,7 +73,9 @@ def check_arrays(arrays: dict[str, np.ndarray], shapes: dict, what: str):
 
 
 def init_linear(rng: SeededRng | None, fan_in: int, fan_out: int):
-    bound = 1.0 / np.sqrt(fan_in)
+    # float(): np.sqrt fails on an int past 2**64. A Python-float bound (math.sqrt) let numpy
+    # elide a temporary in uniform, which moved later arrays and slowed mlp_disk steps 1.7x
+    bound = 1.0 / np.sqrt(float(fan_in))
     w = np.zeros((fan_in, fan_out)) if rng is None else rng.uniform((fan_in, fan_out), -bound, bound)
     b = np.zeros(fan_out)
     return w, b

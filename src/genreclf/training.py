@@ -14,15 +14,15 @@ from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
-from .errors import ConfigError, DataError, NumericError, config_field, config_fields
-from .metrics import MetricsReport, compute_report
+from .errors import ConfigError, DataError, NumericError, config_field, config_fields, is_kind
+from .metrics import MetricsReport, compute_report, report_from_csv, to_csv
 from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model, predict_scores
 from .optim import Adam, clip_global_norm
 from .rng import SeededRng, derive_seed
 from .vocab import NUM_GENRES, label_vector
 
-TRAINER_STATE_VERSION = 2
+TRAINER_STATE_VERSION = 3
 EVAL_BATCH = 32   # records per scoring forward in ``evaluate`` when no stream is padded: the paper's batch size
 
 
@@ -93,6 +93,56 @@ class TrainHistory:
             else:
                 w.writerow([step, repr(loss), repr(r.mean_ap), repr(r.macro_precision), repr(r.macro_recall)])
         return buf.getvalue()
+
+
+def _is_report_csv(text) -> bool:
+    try:
+        return isinstance(text, str) and isinstance(report_from_csv(text), MetricsReport)
+    except ValueError:
+        return False
+
+
+@dataclass
+class TrainerState:
+    """``trainer_state.json``: the loop's position, the Adam step count and
+    the moments' manifest in ``trainer_state.bin``, the dropout RNG, the
+    history so far and the SHA-256 of each blob at save. ``save_state``
+    builds it and ``Trainer.resume`` reads it through ``config_fields``; a
+    field missing, of another kind or out of its range is a ConfigError."""
+    version: int
+    global_step: int
+    epoch: int
+    step_in_epoch: int
+    adam_t: int
+    adam_manifest: list
+    dropout_rng: dict   # SeededRng.state()
+    best_step: int
+    best_map: float | None   # None before the first validation: standard JSON has no -inf
+    losses: list   # [step, loss] pairs
+    evals: list   # [step, metrics.to_csv(report)] pairs, one per validation
+    sha256: dict   # {"last.bin": hex digest, "trainer_state.bin": hex digest}
+
+    def __post_init__(self):
+        def count(value, end=2**63):
+            return is_kind(value, int) and 0 <= value < end
+
+        def pairs(value, second):   # [count, x] pairs with second(x) true
+            return all(isinstance(p, (list, tuple)) and len(p) == 2 and count(p[0]) and second(p[1]) for p in value)
+
+        if self.version != TRAINER_STATE_VERSION:
+            raise ConfigError(f"unsupported trainer state version {self.version}")
+        rng = self.dropout_rng
+        for name, ok, what in (
+                *((name, count(getattr(self, name)), "an integer in [0, 2**63)")
+                  for name in ("global_step", "epoch", "step_in_epoch", "adam_t")),
+                ("dropout_rng", count(rng.get("seed"), 2**64) and count(rng.get("counter"), 2**64),
+                 "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
+                ("losses", pairs(self.losses, lambda loss: is_kind(loss, float)), "a list of [step, loss] pairs"),
+                ("evals", pairs(self.evals, _is_report_csv), "a list of [step, report CSV] pairs"),
+                ("sha256", all(isinstance(self.sha256.get(k), str) for k in ("last.bin", "trainer_state.bin")),
+                 "{last.bin: string, trainer_state.bin: string}")):
+            if not ok:
+                raise ConfigError(f"trainer state field {name!r} must be {what}, got {getattr(self, name)!r:.80}")
 
 
 def _eval_bucket(config: ModelConfig) -> int:
@@ -230,87 +280,38 @@ class Trainer:
         os.makedirs(out_dir, exist_ok=True)
         last_digest = save_checkpoint(self.model, os.path.join(out_dir, "last"))
         manifest, state_digest = write_blob(os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
-        state = {
-            "version": TRAINER_STATE_VERSION,
-            "global_step": self.global_step,
-            "epoch": self.epoch,
-            "step_in_epoch": self.step_in_epoch,
-            "adam_t": self.adam.t,
-            "adam_manifest": manifest,
-            "dropout_rng": self.dropout_rng.state(),
-            "best_step": self.history.best_step,
-            # -inf (no validation yet) is stored as null: standard JSON has no infinities
-            "best_map": self.history.best_map if np.isfinite(self.history.best_map) else None,
-            "losses": self.history.losses,
-            "sha256": {"last.bin": last_digest, "trainer_state.bin": state_digest},
-        }
-        write_atomic(os.path.join(out_dir, "trainer_state.json"), json.dumps(state, allow_nan=False).encode())
+        h = self.history
+        state = TrainerState(TRAINER_STATE_VERSION, self.global_step, self.epoch, self.step_in_epoch, self.adam.t,
+                             manifest, self.dropout_rng.state(), h.best_step,
+                             h.best_map if math.isfinite(h.best_map) else None, h.losses,
+                             [(step, to_csv(report)) for step, report in h.evals],
+                             {"last.bin": last_digest, "trainer_state.bin": state_digest})
+        write_atomic(os.path.join(out_dir, "trainer_state.json"), json.dumps(asdict(state), allow_nan=False).encode())
 
     @classmethod
     def resume(cls, config: TrainConfig, train_records, val_records, state_dir: str) -> "Trainer":
         """Continue the run saved in ``state_dir``. ``config.model`` must be
         the model config of the saved ``last`` checkpoint."""
         path = os.path.join(state_dir, "trainer_state.json")
-        state = read_json(path)
-        if not isinstance(state, dict):
-            raise DataError(f"{path}: the trainer state is not a JSON object")
-        if state.get("version") != TRAINER_STATE_VERSION:
-            raise DataError(f"unsupported trainer state version {state.get('version')}")
-        _check_state_fields(state, path)
-        saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"), state["sha256"]["last.bin"])
+        try:
+            state = config_fields(TrainerState, read_json(path), "trainer state")
+        except ConfigError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"), state.sha256["last.bin"])
         if saved_model != config.model:
             raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
         t = cls.__new__(cls)
         t._setup(config, train_records, val_records, None)   # every weight is loaded below
-        moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state["adam_manifest"],
-                            state["sha256"]["trainer_state.bin"])
+        moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state.adam_manifest,
+                            state.sha256["trainer_state.bin"])
         t.model.params.load_arrays(arrays)
-        t.adam.load_state_arrays(moments, state["adam_t"])
-        t.dropout_rng = SeededRng.from_state(state["dropout_rng"])
-        t.global_step = state["global_step"]
-        t.epoch = state["epoch"]
-        t.step_in_epoch = state["step_in_epoch"]
-        t.history.best_step = state["best_step"]
-        t.history.best_map = float("-inf") if state["best_map"] is None else state["best_map"]
-        t.history.losses = [tuple(x) for x in state["losses"]]
+        t.adam.load_state_arrays(moments, state.adam_t)
+        t.dropout_rng = SeededRng.from_state(state.dropout_rng)
+        t.global_step, t.epoch, t.step_in_epoch = state.global_step, state.epoch, state.step_in_epoch
+        t.history = TrainHistory([(step, float(loss)) for step, loss in state.losses],
+                                 [(step, report_from_csv(text)) for step, text in state.evals],
+                                 state.best_step, -math.inf if state.best_map is None else state.best_map)
         return t
-
-
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
-
-
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
-
-
-# trainer_state.json field -> (check, what it must be)
-_STATE_FIELDS = {
-    "global_step": (_is_count, "an integer >= 0"),
-    "epoch": (_is_count, "an integer >= 0"),
-    "step_in_epoch": (_is_count, "an integer >= 0"),
-    "adam_t": (_is_count, "an integer >= 0"),
-    "adam_manifest": (lambda v: isinstance(v, list), "a list"),
-    "dropout_rng": (lambda v: isinstance(v, dict)
-                    and all(_is_count(v.get(k)) and v[k] < 2**64 for k in ("seed", "counter")),
-                    "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
-    "best_step": (lambda v: type(v) is int, "an integer"),
-    "best_map": (lambda v: v is None or _is_number(v), "a number or null"),
-    "losses": (lambda v: isinstance(v, list) and all(
-        isinstance(x, list) and len(x) == 2 and _is_count(x[0]) and _is_number(x[1]) for x in v),
-        "a list of [step, loss] pairs"),
-    "sha256": (lambda v: isinstance(v, dict) and all(isinstance(v.get(k), str)
-                                                     for k in ("last.bin", "trainer_state.bin")),
-               "{last.bin: string, trainer_state.bin: string}"),
-}
-
-
-def _check_state_fields(state: dict, path: str):
-    for name, (ok, what) in _STATE_FIELDS.items():
-        if name not in state:
-            raise DataError(f"{path}: field {name!r} is missing")
-        if not ok(state[name]):
-            raise DataError(f"{path}: field {name!r} must be {what}, got {state[name]!r:.80}")
 
 
 def train(config: TrainConfig, train_records, val_records=()):

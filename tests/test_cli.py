@@ -381,6 +381,9 @@ class TestConfigChecks:
         ("mlp", ("model_dim",), 10**15), ("multi_transformer", ("model_dim",), 10**15),
         ("single_transformer", ("modalities", 0, "train_max_len"), 10**20),
         ("multi_transformer", ("modalities", 0, "train_max_len"), 10**20),
+        *(pytest.param(arch, ("modalities", 0, "input_dim"), 10**20, id=f"{arch}-input_dim-past-2**64")
+          for arch in ("mlp", "single_transformer", "multi_transformer")),
+        pytest.param("mlp", ("modalities", 0, "input_dim"), 10**400, id="mlp-input_dim-of-401-digits"),
     ])
     def test_sizes_too_large_to_allocate_are_config_error(self, mean_data, tmp_path, capsys, arch, path, value):
         # every size here asks for more than 1 EiB, so the allocation fails at once
@@ -435,9 +438,21 @@ class TestResume:
         for name in ("last.bin", "trainer_state.bin"):
             assert open(os.path.join(out, name), "rb").read() == open(os.path.join(full, name), "rb").read()
 
+    def test_resume_keeps_the_validation_history(self, mean_data, tmp_path):
+        # the history.csv of a run resumed at step 2 equals the uninterrupted run's, validation columns included
+        cfg = small_train_config(tmp_path, max_steps=4, batch_size=2, eval_interval=1)
+        whole, part = str(tmp_path / "whole"), str(tmp_path / "part")
+        assert main(["train", "--config", cfg, "--data", mean_data, "--out", whole]) == 0
+        assert main(["train", "--config", cfg, "--max-steps", "2", "--data", mean_data, "--out", part]) == 0
+        assert main(["train", "--config", cfg, "--data", mean_data, "--out", part, "--resume", part]) == 0
+        history = open(os.path.join(whole, "history.csv"), "rb").read()
+        assert len(history.splitlines()) == 5 and b",," not in history
+        assert open(os.path.join(part, "history.csv"), "rb").read() == history
+
     @pytest.mark.parametrize("key, value", [("sha256", DROP), ("losses", "1.0"), ("dropout_rng", {"seed": 1}),
-                                            ("dropout_rng", {"seed": 1, "counter": 2**70})],
-                             ids=["sha256-missing", "losses-string", "rng-without-counter", "rng-counter-past-uint64"])
+                                            ("dropout_rng", {"seed": 1, "counter": 2**70}), ("adam_t", 10**400)],
+                             ids=["sha256-missing", "losses-string", "rng-without-counter", "rng-counter-past-uint64",
+                                  "adam-t-of-401-digits"])
     def test_malformed_state_is_data_error(self, mean_data, tmp_path, capsys, key, value):
         def edit(state):
             if value is DROP:
@@ -606,12 +621,19 @@ class TestEvalPredict:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ("eval", "predict"))
-    def test_checkpoint_too_large_to_allocate_is_data_error(self, mean_data, trained, tmp_path, capsys, command):
+    @pytest.mark.parametrize("path, value", [(("model_dim",), 10**15), (("modalities", 0, "input_dim"), 10**20),
+                                             (("modalities", 0, "input_dim"), 10**400)],
+                             ids=["model_dim", "input_dim-past-2**64", "input_dim-of-401-digits"])
+    def test_checkpoint_too_large_to_allocate_is_data_error(self, mean_data, trained, tmp_path, capsys, command,
+                                                            path, value):
         # the manifest still fits the blob, so only building the model fails, asking for more than 1 EiB
         stem = str(tmp_path / "ck")
         shutil.copy(os.path.join(trained, "best.bin"), stem + ".bin")
         doc = json.load(open(os.path.join(trained, "best.json")))
-        doc["config"]["model_dim"] = 10**15
+        target = doc["config"]
+        for k in path[:-1]:
+            target = target[k]
+        target[path[-1]] = value
         json.dump(doc, open(stem + ".json", "w"))
         out = tmp_path / "out"
         where = (["--data", mean_data, "--out", str(out)] if command == "eval"

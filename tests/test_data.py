@@ -424,6 +424,19 @@ class TestNpyImport:
         feats = read_mmf(os.path.join(out, "vid0.mmf"))
         assert feats["clip"].shape == (7, 512)
 
+    def test_entry_whose_file_cannot_be_written_is_skipped(self, tmp_path):
+        # a 300-character id names a file past the usual 255-byte limit, so writing its .mmf raises OSError
+        src, manifest, out = self._setup(tmp_path, {"good": {"clip": np.ones((2, 512), dtype=np.float32)}})
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["samples"].insert(0, dict(doc["samples"][0], id="v" * 300))
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        summary = import_npy(src, manifest, out, default_modalities())
+        assert summary["imported"] == 1 and summary["failed"] == 1
+        assert "v" * 300 in summary["errors"][0]
+        assert [r.id for r in load_manifest(os.path.join(out, "manifest.json"))] == ["good"]
+
     def test_float64_narrowed(self, tmp_path):
         src, manifest, out = self._setup(tmp_path, {"v": {"clip": np.ones((2, 512), dtype=np.float64)}})
         summary = import_npy(src, manifest, out, default_modalities())

@@ -1,10 +1,12 @@
-"""Bounded fuzzing of the readers of feature files and JSON documents:
-whatever the input holds, a bad one is a DataError (or, for a trainer state,
-a ConfigError) and nothing else."""
+"""Bounded fuzzing of the readers of feature files, JSON documents and
+report CSVs: whatever the input holds, a bad one is a DataError (or, for a
+trainer state, a ConfigError; for a report CSV, a ValueError) and nothing
+else."""
 
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from genreclf.checkpoint import read_blob, read_checkpoint, save_checkpoint
 from genreclf.data import VideoRecord, load_manifest, write_manifest
 from genreclf.errors import ConfigError, DataError
-from genreclf.mmf import read_mmf, write_mmf
-from genreclf.modalities import ModalitySpec
+from genreclf.metrics import MetricsReport, compute_report, report_from_csv, to_csv
+from genreclf.mmf import import_npy, read_mmf, write_mmf
+from genreclf.modalities import ModalitySpec, default_modalities
 from genreclf.models import ModelConfig, build_model
 from genreclf.training import TrainConfig, Trainer
 from genreclf.vocab import GENRES
@@ -134,14 +137,9 @@ def _paths(doc, path=()):
         yield from _paths(value, path + (key,))
 
 
-@settings(max_examples=300, deadline=None)
-@example(picks=[(0, 0)], values=[[]])
-@given(picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2)), max_size=4),
-       values=st.lists(JSON, min_size=4, max_size=4))
-def test_mutated_checkpoint_document_reads_or_is_data_error(tmp_path_factory, checkpoint_stem, picks, values):
-    # each pick replaces, deletes or adds to one place of the saved document
-    with open(checkpoint_stem + ".json") as fh:
-        doc = json.load(fh)
+def _edited(doc, picks, values):
+    """``doc`` with each pick (place, op) replacing (op 0), deleting (op 1)
+    or adding to (op 2) the place at its index modulo the place count."""
     for (at, op), value in zip(picks, values):
         paths = list(_paths(doc))
         path = paths[at % len(paths)]
@@ -159,6 +157,18 @@ def test_mutated_checkpoint_document_reads_or_is_data_error(tmp_path_factory, ch
             parent.append(value)
         else:
             parent[f"extra{at}"] = value
+    return doc
+
+
+PICKS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@example(picks=[(0, 0)], values=[[]])
+@given(picks=PICKS, values=st.lists(JSON, min_size=4, max_size=4))
+def test_mutated_checkpoint_document_reads_or_is_data_error(tmp_path_factory, checkpoint_stem, picks, values):
+    with open(checkpoint_stem + ".json") as fh:
+        doc = _edited(json.load(fh), picks, values)
     stem = str(tmp_path_factory.mktemp("checkpoint") / "ck")
     with open(checkpoint_stem + ".bin", "rb") as src, open(stem + ".bin", "wb") as dst:
         dst.write(src.read())
@@ -170,6 +180,38 @@ def test_mutated_checkpoint_document_reads_or_is_data_error(tmp_path_factory, ch
         return
     assert isinstance(config, ModelConfig)
     assert all(a.dtype == np.dtype("<f4") for a in arrays.values())
+
+
+@pytest.fixture(scope="module")
+def npy_source(tmp_path_factory):
+    """A directory of .npy arrays and a valid source manifest of two entries: (dir, manifest document)."""
+    src = tmp_path_factory.mktemp("npy")
+    np.save(src / "clip.npy", np.ones((3, 512), dtype=np.float32))
+    np.save(src / "ocr.npy", np.zeros((2, 768)))
+    samples = [{"id": "v0", "duration_s": 61.5, "genres": ["Action", "Drama"],
+                "features": {"clip": "clip.npy", "ocr": "ocr.npy"}},
+               {"id": "v1", "duration_s": 20, "genres": ["Horror"], "features": {"clip": "clip.npy"}}]
+    return str(src), {"samples": samples}
+
+
+@settings(max_examples=200, deadline=None)
+@example(picks=[], values=[None] * 4)
+@example(picks=[(0, 0)], values=[[]] * 4)
+@example(picks=[(12, 0)], values=["v0"] * 4)   # v1 under v0's id
+@given(picks=PICKS, values=st.lists(JSON, min_size=4, max_size=4))
+def test_mutated_source_manifest_imports_or_is_data_error(tmp_path_factory, npy_source, picks, values):
+    npy_dir, doc = npy_source
+    doc = _edited(json.loads(json.dumps(doc)), picks, values)
+    work = tmp_path_factory.mktemp("import")
+    (work / "src.json").write_text(json.dumps(doc))
+    try:
+        summary = import_npy(npy_dir, str(work / "src.json"), str(work / "out"), default_modalities())
+    except DataError:
+        return
+    assert summary["imported"] + summary["failed"] == len(doc.get("samples", []))
+    assert len(summary["errors"]) == summary["failed"]
+    if summary["imported"]:
+        assert len(load_manifest(str(work / "out" / "manifest.json"))) == summary["imported"]
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +235,15 @@ def saved_run(tmp_path_factory):
                          eval_interval=1, checkpoint_dir=out)
     Trainer(config, records[:4], records[4:]).run()
     return out, config, records
+
+
+@pytest.fixture(scope="module")
+def metrics_csv():
+    """A report's CSV text with a NaN recall and AP, as UTF-8 bytes."""
+    scores = np.linspace(0.05, 0.95, 4 * len(GENRES)).reshape(4, len(GENRES))
+    targets = (np.arange(4 * len(GENRES)).reshape(4, len(GENRES)) % 3 == 0).astype(np.float64)
+    targets[:, 0] = 0
+    return to_csv(compute_report(scores, targets, 0.5)).encode()
 
 
 NOT_JSON = [(b'{"a": ', "not standard JSON: Expecting value: line 1 column 7"),
@@ -264,3 +315,60 @@ def test_trainer_state_bytes_mutated_resume_or_are_refused(tmp_path_factory, sav
     except (DataError, ConfigError):
         return
     trainer.save_state(str(tmp_path_factory.mktemp("saved")))
+
+
+def _numbers(doc):
+    """The place of every number in a JSON document."""
+    return [p for p in _paths(doc) if type(_at(doc, p)) in (int, float)]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+HOSTILE_NUMBER = (st.sampled_from([None, -1, 0.5, 2**63, 2**64, 10**20, -2**70, 10**400, 1e308])
+                  | st.integers() | st.floats(allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@example(picks=[], values=[None] * 3)
+@example(picks=[0], values=[10**400] * 3)   # version
+@example(picks=[4], values=[10**400] * 3)   # adam_t, which overflowed 0.9 ** t at the first step
+@example(picks=[4], values=[2**62] * 3)
+@example(picks=[28], values=[10**20] * 3)   # best_map, which the save refused as an int past int64
+@example(picks=[1, 2], values=[0, 0, None])   # global_step and epoch: the run takes three steps
+@given(picks=st.lists(st.integers(0, 10**6), max_size=3), values=st.lists(HOSTILE_NUMBER, min_size=3, max_size=3))
+def test_trainer_state_numbers_mutated_resume_run_and_save_or_are_refused(tmp_path_factory, saved_run, picks,
+                                                                          values):
+    # a run that resumes takes a step and a validation, and saves a state that resumes again
+    run_dir, config, records = saved_run
+    state_dir = tmp_path_factory.mktemp("state")
+    for name in ("last.json", "last.bin", "trainer_state.bin"):
+        shutil.copyfile(os.path.join(run_dir, name), state_dir / name)
+    with open(os.path.join(run_dir, "trainer_state.json")) as fh:
+        doc = json.load(fh)
+    for at, value in zip(picks, values):
+        places = _numbers(doc)
+        path = places[at % len(places)]
+        _at(doc, path[:-1])[path[-1]] = value
+    (state_dir / "trainer_state.json").write_text(json.dumps(doc))
+    out = str(tmp_path_factory.mktemp("out"))
+    again = replace(config, max_steps=3, checkpoint_dir=out)
+    try:
+        trainer = Trainer.resume(again, records[:4], records[4:], str(state_dir))
+    except (DataError, ConfigError):
+        return
+    trainer.run()
+    Trainer.resume(again, records[:4], records[4:], out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**BYTE_EDITS)
+def test_report_csv_mutated_reads_or_is_value_error(metrics_csv, edits, cut, tail):
+    try:
+        report = report_from_csv(_mutated(metrics_csv, edits, cut, tail).decode("utf-8", "replace"))
+    except ValueError:
+        return
+    assert isinstance(report, MetricsReport)

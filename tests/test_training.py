@@ -27,7 +27,7 @@ from genreclf.vocab import label_vector
 SMALL_SPECS = (ModalitySpec("clip", 12, 8), ModalitySpec("audiotag", 6, 5))
 DROP = object()   # marks a key to delete from a JSON document
 STATE_FIELDS = ("global_step", "epoch", "step_in_epoch", "adam_t", "adam_manifest", "dropout_rng",
-                "best_step", "best_map", "losses", "sha256")
+                "best_step", "best_map", "losses", "sha256", "evals")
 
 
 def small_config(arch="mlp", **overrides):
@@ -394,7 +394,10 @@ class TestTrainer:
         (("dropout_rng", "counter"), 2**70), (("dropout_rng", "seed"), 2**64),
         (("best_map",), "0.5"), (("best_map",), False), (("losses",), {}), (("losses",), [[1]]),
         (("losses",), [[1, "0.3"]]), (("sha256",), "abc"), (("sha256", "last.bin"), 5),
-    ], ids=lambda v: "missing" if v is DROP else ".".join(v) if isinstance(v, tuple) else repr(v))
+        (("adam_t",), 10**400), (("best_map",), 10**400), (("losses",), [[1, 10**400]]),
+        (("adam_t",), 2**63), (("global_step",), 2**63), (("losses",), [[-1, 0.5]]),
+        (("evals",), {}), (("evals",), [[1, 0.5]]), (("evals",), [[1, "step,loss"]]), (("evals",), [["1", ""]]),
+    ], ids=lambda v: "missing" if v is DROP else ".".join(v) if isinstance(v, tuple) else f"{v!r:.40}")
     def test_malformed_state_field_is_data_error(self, tmp_path, keys, value):
         records = mean_records(16, seed=69)
         part_dir = str(tmp_path / "part")
@@ -415,6 +418,35 @@ class TestTrainer:
         with pytest.raises(DataError, match=f"field '{keys[0]}'"):
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=71),
                            records, (), part_dir)
+
+    def test_best_map_written_as_an_integer_resumes_runs_and_saves(self, tmp_path):
+        records = mean_records(16, seed=73)
+        part_dir = str(tmp_path / "part")
+        cfg = partial(TrainConfig, model=small_config(), lr=1e-3, batch_size=4, epochs=2, eval_interval=1, seed=75)
+        train(cfg(max_steps=2, checkpoint_dir=part_dir), records[:12], records[12:])
+        path = os.path.join(part_dir, "trainer_state.json")
+        with open(path) as fh:
+            state = json.load(fh)
+        state["best_map"] = 10**20
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        resumed = Trainer.resume(cfg(max_steps=4, checkpoint_dir=str(tmp_path / "out")), records[:12], records[12:],
+                                 part_dir)
+        assert resumed.history.best_map == 1e20
+        resumed.run()
+        assert resumed.global_step == 4 and resumed.history.best_step == state["best_step"]
+        assert read_json(str(tmp_path / "out" / "trainer_state.json"))["best_map"] == 1e20
+
+    def test_resume_keeps_the_validation_history(self, tmp_path):
+        records = mean_records(16, seed=77)
+        cfg = partial(TrainConfig, model=small_config(), lr=1e-3, batch_size=4, epochs=2, eval_interval=1, seed=79)
+        _, whole = train(cfg(), records[:12], records[12:])
+        part_dir = str(tmp_path / "part")
+        train(cfg(max_steps=2, checkpoint_dir=part_dir), records[:12], records[12:])
+        resumed = Trainer.resume(cfg(), records[:12], records[12:], part_dir).run()
+        assert [step for step, _ in resumed.evals] == list(range(1, 7))
+        assert resumed.to_csv() == whole.to_csv()
+        assert [to_csv(r) for _, r in resumed.evals] == [to_csv(r) for _, r in whole.evals]
 
     def test_best_checkpoint_tracks_validation_map(self, tmp_path):
         records = mean_records(32, seed=31)

@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, config_field, is_kind, reading
 from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model
 from .vocab import GENRES
@@ -67,13 +67,12 @@ def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[s
     if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
         raise DataError(f"{bin_path}: the SHA-256 differs from the one recorded at save; a save stopped part way")
     arrays, end = {}, 0
-    for entry in manifest:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(n) is int and n >= 0 for n in [entry.get("offset"), *entry["shape"]])):
-            raise DataError(f"{bin_path}: manifest entry {entry!r:.80} is not "
-                            "{name: string, shape: [int >= 0], offset: int >= 0}")
-        name, shape, start = entry["name"], entry["shape"], entry["offset"]
+    for i, entry in enumerate(manifest):
+        with reading(bin_path):
+            name, shape, start = (config_field(entry, key, kind, where=f"manifest entry {i}")
+                                  for key, kind in (("name", str), ("shape", list), ("offset", int)))
+        if not all(is_kind(n, int) and n >= 0 for n in [start, *shape]):
+            raise DataError(f"{bin_path}: {name}: shape {shape!r:.80} and offset {start} must be integers >= 0")
         if name in arrays:
             raise DataError(f"{bin_path}: the manifest names {name!r} twice")
         if start != end:
@@ -94,27 +93,23 @@ def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[s
 def read_checkpoint(stem: str, sha256: str = None) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """The model config in ``<stem>.json`` and the parameter arrays it
     describes in ``<stem>.bin``, whose SHA-256 must be ``sha256`` if given."""
-    doc = read_json(stem + ".json")
-    if not isinstance(doc, dict):
-        raise DataError(f"{stem}.json: checkpoint is not a JSON object")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"{stem}.json: unsupported checkpoint format version {doc.get('format_version')}")
-    if doc.get("genres") != list(GENRES):
-        raise DataError(f"{stem}.json: checkpoint genre vocabulary does not match this build")
-    try:
-        config = ModelConfig.from_dict(doc.get("config"))
-    except ConfigError as exc:
-        raise DataError(f"{stem}.json: malformed model config: {exc!r}")
-    return config, read_blob(stem + ".bin", doc.get("parameters"), sha256)
+    path = stem + ".json"
+    doc = read_json(path)
+    with reading(path):
+        if (version := config_field(doc, "format_version", int, where="checkpoint")) != CHECKPOINT_FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint format version {version}")
+        if doc.get("genres") != list(GENRES):
+            raise DataError(f"{path}: checkpoint genre vocabulary does not match this build")
+        config = ModelConfig.from_dict(config_field(doc, "config", dict, where="checkpoint"))
+        parameters = config_field(doc, "parameters", list, where="checkpoint")
+    return config, read_blob(stem + ".bin", parameters, sha256)
 
 
 def load_checkpoint(stem: str):
     """Rebuild the model described by ``<stem>.json`` with the parameters
     stored in ``<stem>.bin``, drawing no initial weights."""
     config, arrays = read_checkpoint(stem)
-    try:
+    with reading(stem + ".json"):
         model = build_model(config, seed=None)
-    except ConfigError as exc:
-        raise DataError(f"{stem}.json: {exc}") from None
     model.params.load_arrays(arrays)
     return model

@@ -59,9 +59,7 @@ def _load_train_config(args) -> TrainConfig:
     else:
         raise ConfigError("provide --config JSON or --preset")
     flags = {k: getattr(args, k) for k in ("seed", "epochs", "max_steps", "lr", "batch_size", "eval_interval")}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})  # flags win over the file
-    cfg.check()
-    return cfg
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})  # flags win over the file
 
 
 def _load_split_records(data_dir: str):
@@ -79,8 +77,7 @@ def _load_split_records(data_dir: str):
 
 
 def cmd_import(args) -> int:
-    specs = default_modalities()
-    summary = import_npy(args.npy_dir, args.manifest, args.out, specs)
+    summary = import_npy(args.npy_dir, args.manifest, args.out, default_modalities())
     _write_run_manifest(args, {"npy_dir": args.npy_dir, "manifest": args.manifest}, args.seed or 0)
     for msg in summary["errors"]:
         print(f"warning: {msg}", file=sys.stderr)

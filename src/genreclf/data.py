@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, config_field, reading
 from .mmf import read_json, read_mmf, write_atomic
 from .vocab import GENRES, label_vector
 
@@ -122,47 +122,27 @@ class FilterStats:
     dropped_missing_duration: int = 0
 
 
-def check_duration(value, where: str):
-    """``value`` if it is a number or None, else a DataError: the
-    ``duration_s`` rule of both dataset manifests and NPY imports."""
-    if value is not None and type(value) not in (int, float):
-        raise DataError(f"{where} has a duration_s that is not a number: {value!r}")
-    return value
-
-
 def load_manifest(path: str) -> list[VideoRecord]:
     """Read a dataset manifest. Unknown genre names are dropped (the source
     catalog carries more genres than the 21 used here); records left with no
     known genre are rejected."""
     doc = read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
-        raise DataError(f"{path}: manifest has no \"samples\" list")
-    if doc.get("genres") != list(GENRES):
-        raise DataError(f"{path}: manifest genre vocabulary does not match the fixed 21-genre list")
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    for i, entry in enumerate(doc["samples"]):
-        missing = [k for k in ("id", "genres") if not isinstance(entry, dict) or k not in entry]
-        if missing:
-            raise DataError(f"{path}: sample {i} has no {' and no '.join(missing)}")
-        rid, genres = entry["id"], entry["genres"]
-        rec_path = entry.get("path")
-        if not isinstance(rid, str):
-            raise DataError(f"{path}: sample {i} has an id that is not a string: {rid!r}")
-        if not isinstance(genres, list):
-            raise DataError(f"{path}: record {rid} has genres that are not a list: {genres!r}")
-        if rec_path is not None and not isinstance(rec_path, str):
-            raise DataError(f"{path}: record {rid} has a path that is not a string or null: {rec_path!r}")
-        duration = check_duration(entry.get("duration_s"), f"{path}: record {rid}")
-        known = tuple(g for g in genres if g in GENRES)
-        if not known:
-            raise DataError(f"{path}: record {rid} has no known genres")
-        records.append(VideoRecord(
-            id=rid,
-            duration_s=duration,
-            genres=known,
-            path=os.path.join(base, rec_path) if rec_path else None,
-        ))
+    with reading(path):
+        samples = config_field(doc, "samples", list, where="manifest")
+        if doc.get("genres") != list(GENRES):
+            raise DataError(f"{path}: manifest genre vocabulary does not match the fixed 21-genre list")
+        for i, entry in enumerate(samples):
+            rid = config_field(entry, "id", str, where=f"sample {i}")
+            where = f"record {rid}"
+            genres = config_field(entry, "genres", list, where=where)
+            rec_path = config_field(entry, "path", str | None, None, where)
+            known = tuple(g for g in genres if g in GENRES)
+            if not known:
+                raise DataError(f"{path}: record {rid} has no known genres")
+            records.append(VideoRecord(id=rid, duration_s=config_field(entry, "duration_s", float | None, None, where),
+                                       genres=known, path=os.path.join(base, rec_path) if rec_path else None))
     return records
 
 

@@ -1,8 +1,8 @@
 """Package exception hierarchy, mapped to CLI exit codes."""
 
+import contextlib
 import dataclasses
 import sys
-import typing
 
 
 class GenreclfError(Exception):
@@ -47,12 +47,13 @@ def config_field(d, key: str, kind, default=_REQUIRED, where: str = "config"):
         if default is _REQUIRED:
             raise ConfigError(f"{where} field {key!r} is missing")
         return default
-    value, kinds = d[key], typing.get_args(kind) or (kind,)
-    if value is None and type(None) in kinds:
+    value, nullable = d[key], not isinstance(kind, type)   # ``type | None`` is a union, not a type
+    if value is None and nullable:
         return None
-    kind = next(t for t in kinds if t is not type(None))
+    kind = kind.__args__[0] if nullable else kind
     if not is_kind(value, kind):
-        raise ConfigError(f"{where} field {key!r} must be {_KINDS[kind]}, got {value!r:.80}")
+        raise ConfigError(f"{where} field {key!r} must be {_KINDS[kind]}{' or null' if nullable else ''}, "
+                          f"got {value!r:.80}")
     return float(value) if kind is float else value
 
 
@@ -65,3 +66,12 @@ def config_fields(cls, d, where: str, **given):
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
             given[f.name] = config_field(d, f.name, f.type, default, where)
     return cls(**given)
+
+
+@contextlib.contextmanager
+def reading(path: str):
+    """A ConfigError raised inside becomes a DataError naming the data file ``path`` (exit 3, not 2)."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, MmfFormatError
+from .errors import ConfigError, DataError, MmfFormatError, config_field, reading
 
 MAGIC = b"MMF1"
 FORMAT_VERSION = 1
@@ -124,17 +124,25 @@ def read_json(path: str):
     """Parse the JSON file at ``path`` as standard JSON, UTF-8 whatever the
     locale. Bytes that are not UTF-8, text that is not JSON (named by line
     and column), an integer past Python's digit limit, nesting past its
-    recursion limit, and ``NaN``, ``Infinity`` and numbers past the float
-    range are a DataError."""
+    recursion limit, ``NaN``, ``Infinity`` and numbers past the float range,
+    and a string holding a lone surrogate (``"\\ud800"``, which no UTF-8
+    file can hold) are a DataError."""
     def reject(text):
         raise DataError(f"{path}: {text} is not a standard JSON number")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return json.loads(raw.decode("utf-8"), parse_constant=reject,
-                          parse_float=lambda text: float(text) if np.isfinite(float(text)) else reject(text))
+        decoded = raw.decode("utf-8")
+        doc = json.loads(decoded, parse_constant=reject,
+                         parse_float=lambda text: float(text) if np.isfinite(float(text)) else reject(text))
+        if "\\ud" in decoded or "\\uD" in decoded:   # only a \u escape can decode to a surrogate
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{path}: a string holds a lone surrogate: "
+                        f"{exc.object[max(exc.start - 40, 0):exc.end]!r}") from None
     except (ValueError, RecursionError) as exc:   # json.JSONDecodeError is a ValueError
         raise DataError(f"{path}: not standard JSON: {exc}") from None
 
@@ -219,32 +227,31 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     Returns a summary dict with the number imported, the number failed,
     the per-file error messages and the unknown genre labels dropped.
     """
-    from .data import VideoRecord, check_duration, write_manifest
+    from .data import VideoRecord, write_manifest
     from .vocab import GENRES
 
     src = read_json(manifest_path)
-    if not (isinstance(src, dict) and isinstance(src.get("samples", []), list)):
-        raise DataError(f"{manifest_path}: the source manifest is not an object with a list of samples")
+    with reading(manifest_path):
+        samples = config_field(src, "samples", list, [], "source manifest")
     spec_by_name = {s.name: s for s in specs}
     os.makedirs(out_dir, exist_ok=True)
-    records = []
+    records = {}   # by id
     errors = []
-    imported = set()
     dropped_genres = 0
-    for i, entry in enumerate(src.get("samples", [])):
-        raw_id = entry.get("id") if isinstance(entry, dict) else None
-        vid = raw_id if isinstance(raw_id, str) and raw_id else f"sample {i}"
+    for i, entry in enumerate(samples):
+        where = f"sample {i}"
         try:
-            if not (isinstance(entry, dict) and isinstance(entry.get("genres", []), list)
-                    and isinstance(entry.get("features", {}), dict)):
-                raise DataError(f"{vid}: not an object whose genres is a list and features an object")
-            if vid != raw_id or vid in (".", "..") or any(c in vid for c in ("/", os.sep, "\0")):
-                raise DataError(f"{vid}: id {raw_id!r} is not a file name")
-            if vid in imported:
+            with reading(manifest_path):
+                vid = config_field(entry, "id", str, where=where)
+                genres = config_field(entry, "genres", list, where=where)
+                feature_paths = config_field(entry, "features", dict, {}, where)
+                duration = config_field(entry, "duration_s", float | None, None, where)
+                if vid in ("", ".", "..") or any(c in vid for c in ("/", os.sep, "\0")):
+                    raise ConfigError(f"{where} field 'id' must be a file name, got {vid!r}")
+            if vid in records:
                 raise DataError(f"{vid}: duplicate id; an earlier entry was imported under it")
-            duration = check_duration(entry.get("duration_s"), f"{vid}: the entry")
             features = {}
-            for mod, rel in entry.get("features", {}).items():
+            for mod, rel in feature_paths.items():
                 if mod not in spec_by_name:
                     raise DataError(f"{vid}/{mod}: unknown modality")
                 try:
@@ -253,22 +260,15 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
                     raise DataError(f"{vid}/{mod}: cannot read {rel!r} under {npy_dir}: {exc}")
                 _check_npy_array(arr, spec_by_name[mod].input_dim, f"{vid}/{mod} ({rel})")
                 features[mod] = np.ascontiguousarray(arr, dtype=np.float32)
-            known = [g for g in entry.get("genres", []) if g in GENRES]
-            dropped_genres += len(entry.get("genres", [])) - len(known)
+            known = [g for g in genres if g in GENRES]
+            dropped_genres += len(genres) - len(known)
             if not known:
                 raise DataError(f"{vid}: no genres from the fixed vocabulary")
             out_path = os.path.join(out_dir, f"{vid}.mmf")
             write_mmf(features, out_path)
-            imported.add(vid)
-            records.append(VideoRecord(id=vid, duration_s=duration, genres=tuple(known),
-                                       path=out_path))
+            records[vid] = VideoRecord(id=vid, duration_s=duration, genres=tuple(known), path=out_path)
         except (DataError, OSError) as exc:   # OSError: the entry's .mmf cannot be written
             errors.append(str(exc))
     if records:
-        write_manifest(records, os.path.join(out_dir, "manifest.json"))
-    return {
-        "imported": len(records),
-        "failed": len(errors),
-        "errors": errors,
-        "dropped_genre_labels": dropped_genres,
-    }
+        write_manifest(list(records.values()), os.path.join(out_dir, "manifest.json"))
+    return {"imported": len(records), "failed": len(errors), "errors": errors, "dropped_genre_labels": dropped_genres}

@@ -14,7 +14,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
-from .errors import ConfigError, DataError, NumericError, config_field, config_fields, is_kind
+from .errors import ConfigError, DataError, NumericError, config_field, config_fields, is_kind, reading
 from .metrics import MetricsReport, compute_report, report_from_csv, to_csv
 from .mmf import read_json, write_atomic
 from .models import ModelConfig, build_model, predict_scores
@@ -63,7 +63,7 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         return config_fields(cls, d, "config", model=ModelConfig.from_dict(config_field(d, "model", dict)))
 
-    def check(self):
+    def __post_init__(self):
         """Refuse settings the loop cannot run with (lr 0 and max_steps 0 run)."""
         for name, ok, what in (("batch_size", self.batch_size >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
                                ("max_steps", self.max_steps is None or self.max_steps >= 0, ">= 0 or null"),
@@ -129,13 +129,11 @@ class TrainerState:
         def pairs(value, second):   # [count, x] pairs with second(x) true
             return all(isinstance(p, (list, tuple)) and len(p) == 2 and count(p[0]) and second(p[1]) for p in value)
 
-        if self.version != TRAINER_STATE_VERSION:
-            raise ConfigError(f"unsupported trainer state version {self.version}")
-        rng = self.dropout_rng
         for name, ok, what in (
+                ("version", self.version == TRAINER_STATE_VERSION, str(TRAINER_STATE_VERSION)),
                 *((name, count(getattr(self, name)), "an integer in [0, 2**63)")
                   for name in ("global_step", "epoch", "step_in_epoch", "adam_t")),
-                ("dropout_rng", count(rng.get("seed"), 2**64) and count(rng.get("counter"), 2**64),
+                ("dropout_rng", all(count(self.dropout_rng.get(k), 2**64) for k in ("seed", "counter")),
                  "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
                 ("losses", pairs(self.losses, lambda loss: is_kind(loss, float)), "a list of [step, loss] pairs"),
                 ("evals", pairs(self.evals, _is_report_csv), "a list of [step, report CSV] pairs"),
@@ -194,7 +192,6 @@ class Trainer:
 
     def _setup(self, config: TrainConfig, train_records, val_records, init_seed: int | None):
         """``__init__`` with the model built from ``init_seed``; None draws no weight."""
-        config.check()
         self.config = config
         self.train_records = list(train_records)
         self.val_records = list(val_records)
@@ -277,15 +274,16 @@ class Trainer:
 
     # -- resume -----------------------------------------------------------
     def save_state(self, out_dir: str):
-        os.makedirs(out_dir, exist_ok=True)
-        last_digest = save_checkpoint(self.model, os.path.join(out_dir, "last"))
-        manifest, state_digest = write_blob(os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
-        h = self.history
+        h = self.history   # the state is checked as it is built, before any file is written
         state = TrainerState(TRAINER_STATE_VERSION, self.global_step, self.epoch, self.step_in_epoch, self.adam.t,
-                             manifest, self.dropout_rng.state(), h.best_step,
+                             [], self.dropout_rng.state(), h.best_step,
                              h.best_map if math.isfinite(h.best_map) else None, h.losses,
                              [(step, to_csv(report)) for step, report in h.evals],
-                             {"last.bin": last_digest, "trainer_state.bin": state_digest})
+                             {"last.bin": "", "trainer_state.bin": ""})
+        os.makedirs(out_dir, exist_ok=True)
+        state.sha256["last.bin"] = save_checkpoint(self.model, os.path.join(out_dir, "last"))
+        state.adam_manifest, state.sha256["trainer_state.bin"] = write_blob(
+            os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
         write_atomic(os.path.join(out_dir, "trainer_state.json"), json.dumps(asdict(state), allow_nan=False).encode())
 
     @classmethod
@@ -293,10 +291,8 @@ class Trainer:
         """Continue the run saved in ``state_dir``. ``config.model`` must be
         the model config of the saved ``last`` checkpoint."""
         path = os.path.join(state_dir, "trainer_state.json")
-        try:
+        with reading(path):
             state = config_fields(TrainerState, read_json(path), "trainer state")
-        except ConfigError as exc:
-            raise DataError(f"{path}: {exc}") from None
         saved_model, arrays = read_checkpoint(os.path.join(state_dir, "last"), state.sha256["last.bin"])
         if saved_model != config.model:
             raise ConfigError(f"{state_dir}: the saved model config differs from this run's model config")
@@ -304,6 +300,8 @@ class Trainer:
         t._setup(config, train_records, val_records, None)   # every weight is loaded below
         moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state.adam_manifest,
                             state.sha256["trainer_state.bin"])
+        if not all(np.isfinite(a).all() and (name[0] == "m" or (a >= 0).all()) for name, a in moments.items()):
+            raise DataError(f"{state_dir}: an Adam moment is not finite, or a second moment is negative")
         t.model.params.load_arrays(arrays)
         t.adam.load_state_arrays(moments, state.adam_t)
         t.dropout_rng = SeededRng.from_state(state.dropout_rng)

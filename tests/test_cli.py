@@ -118,23 +118,24 @@ class TestImport:
 
     GOOD = {"id": "good", "duration_s": 100.0, "genres": ["Action"], "features": {"clip": "v.clip.npy"}}
 
-    @pytest.mark.parametrize("entry, label", [
-        ({"genres": ["Action"], "features": {"clip": "v.clip.npy"}}, "sample 0"),
-        (5, "sample 0"),
-        (["v"], "sample 0"),
-        ({**GOOD, "genres": 5}, "good"),
-        ({**GOOD, "features": ["v.clip.npy"]}, "good"),
-        ({**GOOD, "features": {"clip": 5}}, "good/clip"),
-        ({**GOOD, "id": 5}, "sample 0"),
-        ({**GOOD, "id": ""}, "sample 0"),
-        ({**GOOD, "id": "."}, "."),
-        ({**GOOD, "id": ".."}, ".."),
-        ({**GOOD, "id": "../escaped"}, "../escaped"),
-        ({**GOOD, "id": "sub/dir"}, "sub/dir"),
-        ({**GOOD, "id": "nul\0byte"}, "nul\0byte"),
+    @pytest.mark.parametrize("entry, warning", [
+        ({"genres": ["Action"], "features": {"clip": "v.clip.npy"}}, "{src}: sample 0 field 'id' is missing"),
+        (5, "{src}: sample 0 is not an object: 5"),
+        (["v"], "{src}: sample 0 is not an object: ['v']"),
+        ({**GOOD, "genres": 5}, "{src}: sample 0 field 'genres' must be a list, got 5"),
+        ({**GOOD, "features": ["v.clip.npy"]},
+         "{src}: sample 0 field 'features' must be an object, got ['v.clip.npy']"),
+        ({**GOOD, "features": {"clip": 5}}, "good/clip: cannot read 5"),
+        ({**GOOD, "id": 5}, "{src}: sample 0 field 'id' must be a string, got 5"),
+        ({**GOOD, "id": ""}, "{src}: sample 0 field 'id' must be a file name, got ''"),
+        ({**GOOD, "id": "."}, "{src}: sample 0 field 'id' must be a file name, got '.'"),
+        ({**GOOD, "id": ".."}, "{src}: sample 0 field 'id' must be a file name, got '..'"),
+        ({**GOOD, "id": "../escaped"}, "{src}: sample 0 field 'id' must be a file name, got '../escaped'"),
+        ({**GOOD, "id": "sub/dir"}, "{src}: sample 0 field 'id' must be a file name, got 'sub/dir'"),
+        ({**GOOD, "id": "nul\0byte"}, "{src}: sample 0 field 'id' must be a file name, got 'nul\\x00byte'"),
     ], ids=["no-id", "entry-int", "entry-list", "genres-int", "features-list", "feature-path-int", "id-int",
             "id-empty", "id-dot", "id-dotdot", "id-escapes-out", "id-with-slash", "id-with-nul"])
-    def test_malformed_entry_is_collected_data_error(self, tmp_path, capsys, entry, label):
+    def test_malformed_entry_is_collected_data_error(self, tmp_path, capsys, entry, warning):
         src = tmp_path / "src"
         src.mkdir()
         np.save(src / "v.clip.npy", np.ones((5, 512), dtype=np.float32))
@@ -147,7 +148,7 @@ class TestImport:
             assert main(["import", "--npy-dir", str(src), "--manifest", str(manifest), "--out", str(outs[-1])]) == rc
             captured = capsys.readouterr()
             assert summary in captured.out
-            assert f"warning: {label}: " in captured.err and "Traceback" not in captured.err
+            assert f"warning: {warning.format(src=manifest)}" in captured.err and "Traceback" not in captured.err
         outside = {p for p in tmp_path.rglob("*") if not any(out in p.parents for out in outs)}
         assert outside == {src, src / "v.clip.npy", manifest, *outs}
 
@@ -178,20 +179,40 @@ class TestImport:
         assert main(["import", "--npy-dir", str(src), "--manifest", str(manifest), "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert "imported 1 videos, 1 failed" in captured.out
-        assert "warning: bad: the entry has a duration_s that is not a number: 'ninety'" in captured.err
+        warning = f"warning: {manifest}: sample 0 field 'duration_s' must be a finite number or null, got 'ninety'"
+        assert warning in captured.err
         assert not (out / "bad.mmf").exists()
         assert [r.id for r in load_manifest(str(out / "manifest.json"))] == ["good"]
 
-    @pytest.mark.parametrize("doc", [[], {"samples": {}}, {"samples": 5}, "samples"],
-                             ids=["top-level-list", "samples-object", "samples-int", "top-level-string"])
-    def test_malformed_source_manifest_is_data_error(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, message", [
+        ([], "source manifest is not an object: []"),
+        ({"samples": {}}, "source manifest field 'samples' must be a list, got {}"),
+        ({"samples": 5}, "source manifest field 'samples' must be a list, got 5"),
+        ("samples", "source manifest is not an object: 'samples'"),
+    ], ids=["top-level-list", "samples-object", "samples-int", "top-level-string"])
+    def test_malformed_source_manifest_is_data_error(self, tmp_path, capsys, doc, message):
         manifest = tmp_path / "src.json"
         manifest.write_text(json.dumps(doc))
         rc = main(["import", "--npy-dir", str(tmp_path), "--manifest", str(manifest),
                    "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "not an object with a list of samples" in err and "Traceback" not in err
+        assert f"data error: {manifest}: {message}\n" == err
+
+    def test_lone_surrogate_in_the_source_manifest_is_data_error(self, tmp_path, capsys):
+        # the id "\ud800" would name a .mmf file that cannot be encoded
+        src, manifest = self._sources(tmp_path, None)
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["samples"][0]["id"] = "\ud800"
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        out = tmp_path / "out"
+        rc = main(["import", "--npy-dir", src, "--manifest", manifest, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"data error: {manifest}: a string holds a lone surrogate: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -263,7 +284,7 @@ class TestTrain:
         rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "sample 0 has no genres" in err and "Traceback" not in err
+        assert f"data error: {data / 'manifest.json'}: record v0 field 'genres' is missing\n" == err
 
     @pytest.mark.parametrize("genres", [5, True, None])
     def test_manifest_genres_not_a_list_is_data_error(self, tmp_path, capsys, genres):
@@ -284,7 +305,8 @@ class TestTrain:
         rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "record v0 has a duration_s that is not a number" in err and "Traceback" not in err
+        assert err == (f"data error: {data / 'manifest.json'}: record v0 field 'duration_s' must be a finite number "
+                       "or null, got '50'\n")
 
     def test_non_string_id_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -294,7 +316,22 @@ class TestTrain:
         rc = main(["train", "--preset", "mlp", "--data", str(data), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "sample 0 has an id that is not a string" in err and "Traceback" not in err
+        assert f"data error: {data / 'manifest.json'}: sample 0 field 'id' must be a string, got 5\n" == err
+
+    @pytest.mark.parametrize("field", ["id", "path"])
+    def test_lone_surrogate_in_the_manifest_is_data_error(self, mean_data, tmp_path, capsys, field):
+        # a JSON escape of half a surrogate pair decodes to a string that cannot be encoded, so ids cannot be
+        # sorted by their UTF-8 bytes for the split, nor paths opened
+        data = tmp_path / "data"
+        shutil.copytree(mean_data, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["samples"][0][field] = "\ud800" + doc["samples"][0][field]
+        (data / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--preset", "mlp", "--max-steps", "1", "--data", str(data), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"data error: {data / 'manifest.json'}: a string holds a lone surrogate: ")
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
 
 
 class TestConfigChecks:

@@ -511,36 +511,60 @@ class TestManifest:
         with pytest.raises(DataError, match="no known genres"):
             load_manifest(str(path))
 
-    @pytest.mark.parametrize("doc, match", [
-        ({"genres": list(GENRES)}, "no \"samples\" list"),
-        ([], "no \"samples\" list"),
-        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": 50.0}]}, "sample 0 has no genres"),
+    @pytest.mark.parametrize("doc, message", [
+        ({"genres": list(GENRES)}, "manifest field 'samples' is missing"),
+        ([], "manifest is not an object: []"),
+        ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": 50.0}]}, "record x field 'genres' is missing"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "genres": ["Action"]}, {"genres": ["Action"]}]},
-         "sample 1 has no id"),
-        ({"genres": list(GENRES), "samples": ["x"]}, "sample 0 has no id and no genres"),
+         "sample 1 field 'id' is missing"),
+        ({"genres": list(GENRES), "samples": ["x"]}, "sample 0 is not an object: 'x'"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": "50", "genres": ["Action"]}]},
-         "record x has a duration_s that is not a number: '50'"),
+         "record x field 'duration_s' must be a finite number or null, got '50'"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": True, "genres": ["Action"]}]},
-         "record x has a duration_s that is not a number: True"),
+         "record x field 'duration_s' must be a finite number or null, got True"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": [50.0], "genres": ["Action"]}]},
-         "record x has a duration_s that is not a number"),
+         "record x field 'duration_s' must be a finite number or null, got [50.0]"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": float("nan"), "genres": ["Action"]}]},
          "NaN is not a standard JSON number"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "duration_s": float("inf"), "genres": ["Action"]}]},
          "Infinity is not a standard JSON number"),
         ({"genres": list(GENRES), "samples": [{"id": 5, "genres": ["Action"]}]},
-         "sample 0 has an id that is not a string: 5"),
+         "sample 0 field 'id' must be a string, got 5"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "genres": 5}]},
-         "record x has genres that are not a list: 5"),
+         "record x field 'genres' must be a list, got 5"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "genres": "Action"}]},
-         "record x has genres that are not a list: 'Action'"),
+         "record x field 'genres' must be a list, got 'Action'"),
         ({"genres": list(GENRES), "samples": [{"id": "x", "genres": ["Action"], "path": 7}]},
-         "record x has a path that is not a string or null: 7"),
+         "record x field 'path' must be a string or null, got 7"),
     ], ids=["no-samples", "not-an-object", "no-genres", "no-id", "entry-not-an-object",
             "duration-string", "duration-bool", "duration-list", "duration-nan",
             "duration-infinity", "id-int", "genres-int", "genres-string", "path-int"])
-    def test_missing_keys_are_data_errors(self, tmp_path, doc, match):
+    def test_missing_keys_are_data_errors(self, tmp_path, doc, message):
+        # the message names the file, the sample (by index until its id is read, then by id) and the field
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=match):
+        with pytest.raises(DataError) as info:
             load_manifest(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("entry, place", [
+        ({"id": "\ud800x", "genres": ["Action"]}, r"""[{"id": "\ud800'"""),
+        ({"id": "x", "genres": ["Action"], "path": "a\udfffb.mmf"}, r""""path": "a\udfff'"""),
+        ({"id": "x", "genres": ["Action", "\udc00\ud800"]}, r"""["Action", "\udc00\ud800'"""),
+    ], ids=["id", "path", "reversed-pair-in-genres"])
+    def test_lone_surrogate_is_data_error_naming_the_place(self, tmp_path, entry, place):
+        # a JSON escape may decode to half a surrogate pair, which no UTF-8 file can hold
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"genres": list(GENRES), "samples": [entry]}))
+        with pytest.raises(DataError) as info:
+            load_manifest(str(path))
+        assert str(info.value).startswith(f"{path}: a string holds a lone surrogate: ") and place in str(info.value)
+
+    def test_surrogate_pairs_load_and_round_trip(self, tmp_path):
+        # write_manifest escapes an id past the BMP as a surrogate pair, which reads back as the one character
+        path = str(tmp_path / "m.json")
+        ids = ["tr\u00e1iler-\U0001f3ac", "\U00010000"]
+        write_manifest([VideoRecord(i, 50.0, ("Action",)) for i in ids], path)
+        with open(path) as fh:
+            assert "\\ud83c\\udfac" in fh.read()
+        assert [r.id for r in load_manifest(path)] == ids

@@ -1,8 +1,9 @@
-"""Bounded fuzzing of the readers of feature files, JSON documents and
+"""Bounded fuzzing of the readers of feature files, JSON documents, blobs and
 report CSVs: whatever the input holds, a bad one is a DataError (or, for a
 trainer state, a ConfigError; for a report CSV, a ValueError) and nothing
-else."""
+else, and a run resumed from what reads may stop only on a NumericError."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genreclf.checkpoint import read_blob, read_checkpoint, save_checkpoint
-from genreclf.data import VideoRecord, load_manifest, write_manifest
-from genreclf.errors import ConfigError, DataError
+from genreclf.data import VideoRecord, load_manifest, split_dataset, write_manifest
+from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.metrics import MetricsReport, compute_report, report_from_csv, to_csv
 from genreclf.mmf import import_npy, read_mmf, write_mmf
 from genreclf.modalities import ModalitySpec, default_modalities
@@ -22,15 +23,17 @@ from genreclf.models import ModelConfig, build_model
 from genreclf.training import TrainConfig, Trainer
 from genreclf.vocab import GENRES
 
+# text with lone surrogates too: JSON escapes them ("\ud800"), and they decode to strings no file can hold
+TEXT = st.text(st.characters(categories=["L", "N", "P", "Zs", "Cs"]), max_size=6)
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=10)
 
 SAMPLE = st.fixed_dictionaries({}, optional={
-    "id": st.text(max_size=4) | JSON,
+    "id": st.text(max_size=4) | TEXT | JSON,
     "genres": st.lists(st.sampled_from(GENRES) | JSON, max_size=3) | JSON,
-    "path": st.none() | st.text(max_size=6) | JSON,
+    "path": st.none() | st.text(max_size=6) | TEXT | JSON,
     "duration_s": st.floats(0.0, 300.0) | JSON,
 }) | JSON
 
@@ -65,16 +68,27 @@ def _mutated(data: bytes, edits, cut, tail) -> bytes:
 @example(genres=5, samples=[])
 @example(genres=None, samples=[])
 @example(genres=list(GENRES), samples=[{"id": "v", "genres": ["Action", [1]], "path": "", "duration_s": 10**30}])
+@example(genres=list(GENRES), samples=[{"id": "\ud800x", "genres": ["Action"]}])
+@example(genres=list(GENRES), samples=[{"id": "a", "genres": ["Action"]}, {"id": "a", "genres": ["Drama"]}])
 @given(genres=st.just(list(GENRES)) | JSON, samples=st.lists(SAMPLE, max_size=3) | JSON)
 def test_manifest_of_any_json_loads_or_is_data_error(tmp_path_factory, genres, samples):
-    # a new file per example: truncating one to rewrite it cost 30-45 ms on an ext4 disk mounted with discard
-    path = tmp_path_factory.mktemp("manifest") / "manifest.json"
-    path.write_text(json.dumps({"genres": genres, "samples": samples}))
+    # what loads is split (or refused for a duplicate id) and writes a manifest that loads back the same
+    # records; a new file per example: truncating one to rewrite it cost 30-45 ms on an ext4 disk mounted
+    # with discard
+    work = tmp_path_factory.mktemp("manifest")
+    (work / "manifest.json").write_text(json.dumps({"genres": genres, "samples": samples}))
     try:
-        records = load_manifest(str(path))
+        records = load_manifest(str(work / "manifest.json"))
     except DataError:
         return
     assert len(records) == len(samples) and all(isinstance(r, VideoRecord) and r.genres for r in records)
+    try:
+        assert sorted(split_dataset(records)) == sorted(r.id for r in records)
+    except DataError:
+        assert len({r.id for r in records}) < len(records)
+    write_manifest(records, str(work / "again.json"))
+    fields = [(r.id, r.duration_s, r.genres) for r in records]
+    assert [(r.id, r.duration_s, r.genres) for r in load_manifest(str(work / "again.json"))] == fields
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,6 +331,45 @@ def test_trainer_state_bytes_mutated_resume_or_are_refused(tmp_path_factory, sav
     trainer.save_state(str(tmp_path_factory.mktemp("saved")))
 
 
+@settings(max_examples=100, deadline=None)
+@example(name="last.bin", recorded=True, edits=[], cut=None, tail=b"")
+@example(name="last.bin", recorded=True, edits=[(3, 0xff), (2, 0xff), (1, 0xff)], cut=None, tail=b"")   # a NaN weight
+@example(name="trainer_state.bin", recorded=True, edits=[(3, 0xff)], cut=None, tail=b"")   # a first moment
+@example(name="trainer_state.bin", recorded=True, edits=[(83, 0xbf)], cut=None, tail=b"")   # a negative second moment
+@example(name="trainer_state.bin", recorded=False, edits=[(0, 1)], cut=None, tail=b"")
+@given(name=st.sampled_from(["last.bin", "trainer_state.bin"]), recorded=st.booleans(),
+       edits=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 255)), max_size=6),
+       cut=st.none() | st.integers(0, 2000), tail=st.just(b"") | st.binary(max_size=8))
+def test_blob_mutated_resume_and_run_or_are_refused(tmp_path_factory, saved_run, name, recorded, edits, cut, tail):
+    # a blob's bytes edited, cut or extended, with its recorded SHA-256 left (the resume refuses it) or updated
+    # to match (the layout checks decide); a run that resumes takes a step and a validation, and may then
+    # only stop on a non-finite loss. numpy's warnings on hostile weights (an overflow, say) are not escapes
+    run_dir, config, records = saved_run
+    state_dir = tmp_path_factory.mktemp("state")
+    for saved in ("last.json", "last.bin", "trainer_state.bin", "trainer_state.json"):
+        shutil.copyfile(os.path.join(run_dir, saved), state_dir / saved)
+    blob = bytearray((state_dir / name).read_bytes())
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    blob = bytes(blob[:cut]) + tail
+    (state_dir / name).write_bytes(blob)
+    if recorded:
+        doc = json.loads((state_dir / "trainer_state.json").read_text())
+        doc["sha256"][name] = hashlib.sha256(blob).hexdigest()
+        (state_dir / "trainer_state.json").write_text(json.dumps(doc))
+    again = replace(config, epochs=2, max_steps=3, checkpoint_dir=str(tmp_path_factory.mktemp("out")))
+    try:
+        trainer = Trainer.resume(again, records[:4], records[4:], str(state_dir))
+    except (DataError, ConfigError):
+        return
+    try:
+        with np.errstate(all="ignore"):
+            trainer.run()
+    except NumericError:
+        return
+    assert trainer.global_step == 3
+
+
 def _numbers(doc):
     """The place of every number in a JSON document."""
     return [p for p in _paths(doc) if type(_at(doc, p)) in (int, float)]
@@ -355,7 +408,7 @@ def test_trainer_state_numbers_mutated_resume_run_and_save_or_are_refused(tmp_pa
         _at(doc, path[:-1])[path[-1]] = value
     (state_dir / "trainer_state.json").write_text(json.dumps(doc))
     out = str(tmp_path_factory.mktemp("out"))
-    again = replace(config, max_steps=3, checkpoint_dir=out)
+    again = replace(config, epochs=2, max_steps=3, checkpoint_dir=out)   # the saved run ended its one epoch
     try:
         trainer = Trainer.resume(again, records[:4], records[4:], str(state_dir))
     except (DataError, ConfigError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -141,9 +142,10 @@ class TestTrainer:
                                               ("eval_interval", -1), ("lr", -1e-3), ("lr", float("inf")),
                                               ("clip_norm", 0.0), ("clip_norm", float("nan"))])
     def test_out_of_range_config_refused(self, field, value):
-        cfg = TrainConfig(model=small_config(), **{field: value})
         with pytest.raises(ConfigError, match=field):
-            Trainer(cfg, mean_records(4))
+            TrainConfig(model=small_config(), **{field: value})
+        with pytest.raises(ConfigError, match=field):   # a replace builds the config anew
+            replace(TrainConfig(model=small_config()), **{field: value})
 
     def test_no_step_run_keeps_initial_parameters(self):
         trainer = Trainer(TrainConfig(model=small_config(), lr=0.0, max_steps=0), mean_records(4))
@@ -357,6 +359,28 @@ class TestTrainer:
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=63),
                            records, (), part_dir)
 
+    def test_save_the_state_refuses_leaves_the_directory_as_it_was(self, tmp_path):
+        # a state resumed at the last Adam step count that fits trains one step, past which the count no longer
+        # fits: the save is refused before it writes a file, so the directory still resumes
+        records = mean_records(16, seed=77)
+        part_dir = str(tmp_path / "part")
+        cfg = partial(TrainConfig, model=small_config(), lr=1e-3, batch_size=8, epochs=5, seed=79,
+                      checkpoint_dir=part_dir)
+        train(cfg(max_steps=1), records)
+        path = os.path.join(part_dir, "trainer_state.json")
+        with open(path) as fh:
+            state = json.load(fh)
+        state["adam_t"] = 2**63 - 1
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        before = {path.name: path.read_bytes() for path in (tmp_path / "part").iterdir()}
+        resumed = Trainer.resume(cfg(max_steps=2), records, (), part_dir)
+        with pytest.raises(ConfigError, match="'adam_t' must be an integer in"):
+            resumed.run()
+        assert resumed.global_step == 2
+        assert {path.name: path.read_bytes() for path in (tmp_path / "part").iterdir()} == before
+        assert Trainer.resume(cfg(max_steps=2), records, (), part_dir).adam.t == 2**63 - 1
+
     def test_resumed_parameters_and_moments_are_writable_copies(self, tmp_path):
         records = mean_records(24, seed=69)
         part_dir = str(tmp_path / "part")
@@ -383,6 +407,28 @@ class TestTrainer:
         with pytest.raises(DataError, match="trainer_state.bin: the SHA-256 differs"):
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=67),
                            records, (), dirs[0])
+
+    @pytest.mark.parametrize("moment, value", [("v", -0.5), ("v", np.inf), ("m", np.nan)])
+    def test_adam_moment_the_saver_cannot_write_is_refused(self, tmp_path, moment, value):
+        # with its SHA-256 updated to match: a negative second moment would put NaN into the parameter at the
+        # next step, through the square root
+        records = mean_records(16, seed=83)
+        part_dir = str(tmp_path / "part")
+        cfg = partial(TrainConfig, model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=85,
+                      checkpoint_dir=part_dir)
+        train(cfg(max_steps=1), records)
+        path = os.path.join(part_dir, "trainer_state.json")
+        with open(path) as fh:
+            state = json.load(fh)
+        entry = next(e for e in state["adam_manifest"] if e["name"].startswith(moment + "."))
+        blob = bytearray((tmp_path / "part" / "trainer_state.bin").read_bytes())
+        blob[entry["offset"]:entry["offset"] + 4] = np.float32(value).tobytes()
+        (tmp_path / "part" / "trainer_state.bin").write_bytes(blob)
+        state["sha256"]["trainer_state.bin"] = hashlib.sha256(blob).hexdigest()
+        with open(path, "w") as fh:
+            json.dump(state, fh)
+        with pytest.raises(DataError, match="an Adam moment is not finite, or a second moment is negative"):
+            Trainer.resume(cfg(max_steps=2), records, (), part_dir)
 
     @pytest.mark.parametrize("keys, value", [
         *[((key,), DROP) for key in STATE_FIELDS],

@@ -18,7 +18,11 @@ state, or the bytes of a file a run saved. The matrix:
   ``predict_scores``; ``evaluate`` over every record;
 * a seeded 2-epoch run with validation, and the same run stopped mid-epoch
   and resumed: losses, parameters, RNG states and the
-  ``best``/``last``/``trainer_state`` files.
+  ``best``/``last``/``trainer_state`` files;
+* one ``import_npy`` run (integer, float and null durations, unknown genre
+  names, a non-ASCII id, a float64 array and one entry whose array has the
+  wrong width): its summary, the bytes of every file it writes and the
+  fields of the records ``load_manifest`` reads back from its manifest.
 
 ``--against REV`` extracts REV with ``git archive`` into a temporary
 directory, computes the same matrix against its ``src`` in a child
@@ -34,6 +38,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -137,6 +142,39 @@ def training_values(config, records, directory: str) -> dict:
     return out
 
 
+def import_values(directory: str) -> dict:
+    from genreclf.data import load_manifest
+    from genreclf.mmf import import_npy
+    from genreclf.modalities import default_modalities
+
+    def as_bytes(doc):
+        return np.frombuffer(json.dumps(doc, sort_keys=True).encode(), dtype=np.uint8)
+
+    npy, out = os.path.join(directory, "npy"), os.path.join(directory, "out")
+    os.makedirs(npy)
+    rng = np.random.default_rng(7)
+    for name, arr in (("a.npy", rng.normal(size=(3, 512)).astype(np.float32)), ("b.npy", rng.normal(size=(2, 768))),
+                      ("narrow.npy", np.ones((2, 99), dtype=np.float32))):
+        np.save(os.path.join(npy, name), arr)
+    samples = [
+        {"id": "int-duration", "duration_s": 50, "genres": ["Action", "Telenovela"],
+         "features": {"clip": "a.npy", "ocr": "b.npy"}},
+        {"id": "tr\u00e1iler-\U0001f3ac", "duration_s": 61.5, "genres": ["Drama", "Anime"], "features": {"asr": "b.npy"}},
+        {"id": "no-duration", "duration_s": None, "genres": ["Horror"], "features": {}},
+        {"id": "wrong-width", "duration_s": 70, "genres": ["Comedy"], "features": {"clip": "narrow.npy"}},
+    ]
+    with open(os.path.join(directory, "src.json"), "w") as fh:
+        json.dump({"samples": samples}, fh)
+    values = {"import/summary": as_bytes(import_npy(npy, os.path.join(directory, "src.json"), out,
+                                                    default_modalities()))}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            values[f"import/file/{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
+    for r in load_manifest(os.path.join(out, "manifest.json")):
+        values[f"import/record/{r.id}"] = as_bytes([r.id, r.duration_s, r.genres, os.path.basename(r.path)])
+    return values
+
+
 def compute() -> dict:
     """Every value of the matrix, by name."""
     from genreclf.modalities import ModalitySpec
@@ -157,6 +195,7 @@ def compute() -> dict:
                     with trainer_dtype(dtype):
                         found.update(training_values(config, records, os.path.join(tmp, key)))
                     values.update({f"{key}/{k}": v for k, v in found.items()})
+        values.update(import_values(os.path.join(tmp, "import")))
     return values
 
 

@@ -3,7 +3,9 @@
 ``<stem>.json`` holds the model config, the genre vocabulary, the format
 version and a parameter manifest (name / shape / byte offset); ``<stem>.bin``
 is the concatenation of all parameters as little-endian float32 in manifest
-order. Loading validates the document, names, shapes and blob length.
+order. Loading validates the document, names, shapes and blob length. A
+blob holds no NaN or infinity: saving one is a NumericError, and reading
+one a DataError.
 
 Each file is replaced atomically, the blob first. Every save of one model
 writes the same JSON, so a save that fails part way leaves a loadable pair,
@@ -14,18 +16,24 @@ and the next save overwrites it in place (see ``write_atomic``).
 
 import hashlib
 import itertools
-import json
 import math
 import os
 
 import numpy as np
 
-from .errors import DataError, config_field, is_kind, reading
-from .mmf import read_json, write_atomic
+from .errors import DataError, NumericError, config_field, is_kind, reading
+from .mmf import read_json, write_atomic, write_json
 from .models import ModelConfig, build_model
 from .vocab import GENRES
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+
+def _finite(blob: bytes) -> bool:
+    """Whether every float32 in ``blob`` is finite. ``min`` and ``max`` carry
+    a NaN or an infinity through and allocate nothing the size of the blob."""
+    values = np.frombuffer(blob, dtype="<f4")
+    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def write_blob(bin_path: str, arrays: dict[str, np.ndarray]) -> tuple[list[dict], str]:
@@ -35,6 +43,8 @@ def write_blob(bin_path: str, arrays: dict[str, np.ndarray]) -> tuple[list[dict]
     file, which may be deleted at any time."""
     raws = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays.values()]
     blob = b"".join(raws)
+    if not _finite(blob):
+        raise NumericError(f"{bin_path}: a value to save is not finite")
     write_atomic(bin_path, blob, recycle=True)
     offsets = itertools.accumulate((len(raw) for raw in raws), initial=0)
     return [{"name": name, "shape": list(arr.shape), "offset": offset}
@@ -45,13 +55,8 @@ def save_checkpoint(model, stem: str) -> str:
     """Write ``<stem>.bin``, then ``<stem>.json``; return the blob's SHA-256."""
     os.makedirs(os.path.dirname(os.path.abspath(stem)), exist_ok=True)
     manifest, digest = write_blob(stem + ".bin", {name: t.data for name, t in model.params.items()})
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": model.config.to_dict(),
-        "genres": list(GENRES),
-        "parameters": manifest,
-    }
-    write_atomic(stem + ".json", json.dumps(doc, indent=1).encode())
+    write_json(stem + ".json", {"format_version": CHECKPOINT_FORMAT_VERSION, "config": model.config.to_dict(),
+                                "genres": list(GENRES), "parameters": manifest})
     return digest
 
 
@@ -87,6 +92,8 @@ def read_blob(bin_path: str, manifest: list[dict], sha256: str = None) -> dict[s
             raise DataError(f"{bin_path}: {name} cannot take the shape {shape!r:.80}: {exc}")
     if end != len(blob):
         raise DataError(f"{bin_path}: the manifest ends at byte {end} but the blob has {len(blob)}")
+    if not _finite(blob):
+        raise DataError(f"{bin_path}: a stored value is not finite")
     return arrays
 
 

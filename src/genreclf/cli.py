@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -19,7 +18,7 @@ from .data import (VideoRecord, filter_by_duration, load_manifest,
                    split_records, write_manifest)
 from .errors import ConfigError, DataError, NumericError
 from .metrics import format_table, to_csv
-from .mmf import import_npy, read_json, write_atomic, write_mmf
+from .mmf import import_npy, read_json, write_atomic, write_json, write_mmf
 from .models import ARCHITECTURES, ModelConfig, predict
 from .modalities import default_modalities
 from .checkpoint import load_checkpoint
@@ -38,14 +37,8 @@ def _write_run_manifest(args, resolved: dict, seed: int):
     refuse non-finite numbers first, so a NaN left here fails loudly instead
     of being written. ``args.argv`` is the argument list ``main`` parsed."""
     os.makedirs(args.out, exist_ok=True)
-    doc = {
-        "command": args.command,
-        "argv": args.argv,
-        "seed": seed,
-        "version": __version__,
-        "resolved_config": resolved,
-    }
-    write_atomic(os.path.join(args.out, "run_manifest.json"), json.dumps(doc, indent=1, allow_nan=False).encode())
+    write_json(os.path.join(args.out, "run_manifest.json"), {"command": args.command, "argv": args.argv, "seed": seed,
+                                                             "version": __version__, "resolved_config": resolved})
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -113,11 +106,11 @@ def cmd_train(args) -> int:
     cfg = _load_train_config(args)
     cfg.checkpoint_dir = args.out
     splits, stats = _load_split_records(args.data)
-    _write_run_manifest(args, cfg.to_dict(), cfg.seed)
     if args.resume:
         trainer = Trainer.resume(cfg, splits["train"], splits["val"], args.resume)
     else:
         trainer = Trainer(cfg, splits["train"], splits["val"])
+    _write_run_manifest(args, cfg.to_dict(), cfg.seed)   # after the build, so a refused run writes nothing
     print(f"architecture={cfg.model.architecture} parameters={trainer.model.parameter_count()}")
     print(f"records: train={len(splits['train'])} val={len(splits['val'])} test={len(splits['test'])} "
           f"(dropped: short={stats.dropped_short} long={stats.dropped_long} "

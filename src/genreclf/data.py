@@ -1,7 +1,6 @@
 """Video records, manifests, duration filtering, deterministic splits and
 minibatch assembly."""
 
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, config_field, reading
-from .mmf import read_json, read_mmf, write_atomic
+from .mmf import read_json, read_mmf, write_json
 from .vocab import GENRES, label_vector
 
 DURATION_LO = 19.6
@@ -147,19 +146,9 @@ def load_manifest(path: str) -> list[VideoRecord]:
 
 
 def write_manifest(records: list[VideoRecord], path: str):
-    doc = {
-        "genres": list(GENRES),
-        "samples": [
-            {
-                "id": r.id,
-                "duration_s": r.duration_s,
-                "genres": list(r.genres),
-                "path": os.path.basename(r.path) if r.path else None,
-            }
-            for r in records
-        ],
-    }
-    write_atomic(path, json.dumps(doc, indent=1).encode())
+    samples = [{"id": r.id, "duration_s": r.duration_s, "genres": list(r.genres),
+                "path": os.path.basename(r.path) if r.path else None} for r in records]
+    write_json(path, {"genres": list(GENRES), "samples": samples})
 
 
 def filter_by_duration(records):

@@ -16,8 +16,9 @@ Layout, little-endian throughout:
 Round-trips are bit-exact. Structural problems are reported with the byte
 offset at which parsing failed.
 
-Every file the package writes goes through ``write_atomic``, and every JSON
-document it reads through ``read_json``.
+Every file the package writes goes through ``write_atomic``, every JSON
+document it writes through ``write_json`` and every one it reads through
+``read_json``.
 """
 
 import contextlib
@@ -118,6 +119,13 @@ def _holds(path: str, data: bytes) -> bool:
     except FileNotFoundError:
         return False
     return True
+
+
+def write_json(path: str, doc):
+    """Write ``doc`` to ``path`` as standard JSON, one item a line, through
+    ``write_atomic``: a NaN or an infinity is a ValueError, and nothing is
+    written."""
+    write_atomic(path, json.dumps(doc, indent=1, allow_nan=False).encode())
 
 
 def read_json(path: str):

@@ -3,7 +3,6 @@ validation-driven checkpointing and bit-exact resume."""
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -16,7 +15,7 @@ from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
 from .errors import ConfigError, DataError, NumericError, config_field, config_fields, is_kind, reading
 from .metrics import MetricsReport, compute_report, report_from_csv, to_csv
-from .mmf import read_json, write_atomic
+from .mmf import read_json, write_json
 from .models import ModelConfig, build_model, predict_scores
 from .optim import Adam, clip_global_norm
 from .rng import SeededRng, derive_seed
@@ -284,7 +283,7 @@ class Trainer:
         state.sha256["last.bin"] = save_checkpoint(self.model, os.path.join(out_dir, "last"))
         state.adam_manifest, state.sha256["trainer_state.bin"] = write_blob(
             os.path.join(out_dir, "trainer_state.bin"), self.adam.state_arrays())
-        write_atomic(os.path.join(out_dir, "trainer_state.json"), json.dumps(asdict(state), allow_nan=False).encode())
+        write_json(os.path.join(out_dir, "trainer_state.json"), asdict(state))
 
     @classmethod
     def resume(cls, config: TrainConfig, train_records, val_records, state_dir: str) -> "Trainer":
@@ -300,8 +299,8 @@ class Trainer:
         t._setup(config, train_records, val_records, None)   # every weight is loaded below
         moments = read_blob(os.path.join(state_dir, "trainer_state.bin"), state.adam_manifest,
                             state.sha256["trainer_state.bin"])
-        if not all(np.isfinite(a).all() and (name[0] == "m" or (a >= 0).all()) for name, a in moments.items()):
-            raise DataError(f"{state_dir}: an Adam moment is not finite, or a second moment is negative")
+        if not all(name[0] == "m" or (a >= 0).all() for name, a in moments.items()):
+            raise DataError(f"{state_dir}: a second Adam moment is negative")
         t.model.params.load_arrays(arrays)
         t.adam.load_state_arrays(moments, state.adam_t)
         t.dropout_rng = SeededRng.from_state(state.dropout_rng)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from genreclf.data import (VideoRecord, filter_by_duration, load_manifest, make_batch,
                            split_dataset, temporal_average, write_manifest)
 from genreclf.errors import DataError, MmfFormatError
-from genreclf.mmf import import_npy, read_mmf, write_atomic, write_mmf
+from genreclf.mmf import import_npy, read_mmf, write_atomic, write_json, write_mmf
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec, default_modalities
 from genreclf.rng import SeededRng
 from genreclf.vocab import GENRES, label_vector
@@ -397,6 +397,21 @@ class TestWriteAtomic:
         assert os.stat(path).st_ino != before.st_ino
         with open(path, "rb") as fh:
             assert fh.read() == changed
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_number_is_refused_and_nothing_written(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(tmp_path / "doc.json"), {"threshold": value})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_nan_duration_is_not_written_into_a_manifest(self, tmp_path):
+        # load_manifest refuses NaN, which is not standard JSON
+        path = tmp_path / "manifest.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_manifest([rec(0, duration=float("nan"))], str(path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNpyImport:

@@ -22,6 +22,7 @@ from genreclf.modalities import ModalitySpec, default_modalities
 from genreclf.models import ModelConfig, build_model
 from genreclf.training import TrainConfig, Trainer
 from genreclf.vocab import GENRES
+from jsonedit import DROP, edited
 
 # text with lone surrogates too: JSON escapes them ("\ud800"), and they decode to strings no file can hold
 TEXT = st.text(st.characters(categories=["L", "N", "P", "Zs", "Cs"]), max_size=6)
@@ -143,34 +144,27 @@ def checkpoint_stem(tmp_path_factory):
     return stem
 
 
-def _paths(doc, path=()):
-    """Every place in a JSON document, the root first."""
-    yield path
+def _places(doc, path=()):
+    """(path, value) of every place in a JSON document, the root first."""
+    yield path, doc
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
-        yield from _paths(value, path + (key,))
+        yield from _places(value, path + (key,))
 
 
 def _edited(doc, picks, values):
     """``doc`` with each pick (place, op) replacing (op 0), deleting (op 1)
-    or adding to (op 2) the place at its index modulo the place count."""
+    or adding to (op 2) the place at its index modulo the place count; any
+    op on the root replaces it."""
     for (at, op), value in zip(picks, values):
-        paths = list(_paths(doc))
+        paths = [path for path, _ in _places(doc)]
         path = paths[at % len(paths)]
-        if not path:
-            doc = value
-            continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if op == 0:
-            parent[path[-1]] = value
-        elif op == 1:
-            del parent[path[-1]]
-        elif isinstance(parent, list):
-            parent.append(value)
-        else:
-            parent[f"extra{at}"] = value
+        if path and op == 1:
+            value = DROP
+        elif path and op == 2:   # a new item in the list or object that holds the place
+            path, value = path[:-1], (lambda parent, new=value, key=f"extra{at}":
+                                      parent + [new] if isinstance(parent, list) else {**parent, key: new})
+        doc = edited(doc, path, value)
     return doc
 
 
@@ -372,13 +366,7 @@ def test_blob_mutated_resume_and_run_or_are_refused(tmp_path_factory, saved_run,
 
 def _numbers(doc):
     """The place of every number in a JSON document."""
-    return [p for p in _paths(doc) if type(_at(doc, p)) in (int, float)]
-
-
-def _at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
+    return [path for path, value in _places(doc) if type(value) in (int, float)]
 
 
 HOSTILE_NUMBER = (st.sampled_from([None, -1, 0.5, 2**63, 2**64, 10**20, -2**70, 10**400, 1e308])
@@ -404,8 +392,7 @@ def test_trainer_state_numbers_mutated_resume_run_and_save_or_are_refused(tmp_pa
         doc = json.load(fh)
     for at, value in zip(picks, values):
         places = _numbers(doc)
-        path = places[at % len(places)]
-        _at(doc, path[:-1])[path[-1]] = value
+        doc = edited(doc, places[at % len(places)], value)
     (state_dir / "trainer_state.json").write_text(json.dumps(doc))
     out = str(tmp_path_factory.mktemp("out"))
     again = replace(config, epochs=2, max_steps=3, checkpoint_dir=out)   # the saved run ended its one epoch

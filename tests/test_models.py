@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ import genreclf.training as training
 from genreclf.autograd import Tensor, no_grad
 from genreclf.checkpoint import load_checkpoint, read_blob, read_checkpoint, save_checkpoint, write_blob
 from genreclf.data import Batch, VideoRecord, make_batch, temporal_average
-from genreclf.errors import ConfigError, DataError
+from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec
 from genreclf.models import ModelConfig, build_model, predict, predict_scores
 from genreclf.rng import SeededRng
 from genreclf.training import TrainConfig, Trainer, evaluate, weighted_bce
 from genreclf.vocab import GENRES
+from jsonedit import edited
 
 TOY_SPECS = (
     ModalitySpec("clip", 10, 7),
@@ -149,13 +151,9 @@ class TestConfig:
     ])
     def test_from_dict_field_types_checked(self, path, value):
         d = toy_config("mlp").to_dict()
-        d["modalities"] = [dict(m) for m in d["modalities"]]
-        target = d
-        for k in path[:-1]:
-            target = target[k]
-        target[path[-1]] = value
+        d["modalities"] = list(d["modalities"])   # to_dict keeps the tuple, whose items cannot be replaced
         with pytest.raises(ConfigError, match="object" if path == ("modalities", 0) else path[-1]):
-            ModelConfig.from_dict(d)
+            ModelConfig.from_dict(edited(d, path, value))
 
 
 class TestShapes:
@@ -762,6 +760,23 @@ class TestCheckpoint:
         loaded = load_checkpoint(stem)
         for name, t in build_model(toy_config("mlp"), seed=survivor_seed).params.items():
             assert np.array_equal(t.data, loaded.params[name].data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_neither_saved_nor_read(self, tmp_path, value):
+        # the largest float32s on either side are kept, though their sum and difference overflow
+        path = tmp_path / "x.bin"
+        top = float(np.finfo(np.float32).max)
+        arrays = {"a": np.array([top, -top, 0.0]), "b": np.array([[1.0, value], [top, top]])}
+        with pytest.raises(NumericError, match=re.escape(f"{path}: a value to save is not finite")):
+            write_blob(str(path), arrays)
+        assert list(tmp_path.iterdir()) == []
+        manifest, _ = write_blob(str(path), {**arrays, "b": np.full((2, 2), top)})
+        assert np.array_equal(read_blob(str(path), manifest)["a"], arrays["a"])
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = np.float32(value).tobytes()   # b[0, 1]
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: a stored value is not finite$"):
+            read_blob(str(path), manifest)
 
     def test_blob_arrays_are_read_only_and_loaded_parameters_writable(self, tmp_path):
         model = build_model(toy_config("single_transformer"), seed=37)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import replace
 from functools import partial
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import genreclf.autograd as ag
 import genreclf.checkpoint as checkpoint
 import genreclf.data as data
+import genreclf.mmf as mmf
 import genreclf.training as training
 from genreclf.autograd import Tensor, backward, no_grad
 from genreclf.data import VideoRecord, make_batch
@@ -24,9 +26,9 @@ from genreclf.rng import SeededRng
 from genreclf.synth import synth_mean_encoded
 from genreclf.training import TrainConfig, Trainer, evaluate, train, weighted_bce
 from genreclf.vocab import label_vector
+from jsonedit import DROP, edited
 
 SMALL_SPECS = (ModalitySpec("clip", 12, 8), ModalitySpec("audiotag", 6, 5))
-DROP = object()   # marks a key to delete from a JSON document
 STATE_FIELDS = ("global_step", "epoch", "step_in_epoch", "adam_t", "adam_manifest", "dropout_rng",
                 "best_step", "best_map", "losses", "sha256", "evals")
 
@@ -126,6 +128,15 @@ class TestWeightedBce:
 
 def mean_records(n=40, seed=0, noise=0.1):
     return synth_mean_encoded(n, seed=seed, noise_std=noise, specs=SMALL_SPECS)
+
+
+@pytest.fixture(scope="module")
+def saved_epoch(tmp_path_factory):
+    """(directory, records) of a saved 1-epoch run, to be copied before it is edited."""
+    records = mean_records(16, seed=69)
+    out = str(tmp_path_factory.mktemp("saved_epoch"))
+    train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=1, seed=71, checkpoint_dir=out), records)
+    return out, records
 
 
 class TestTrainer:
@@ -343,7 +354,7 @@ class TestTrainer:
                           checkpoint_dir=part_dir), records)
         resumed = Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, max_steps=4,
                                              seed=63, checkpoint_dir=part_dir), records, (), part_dir)
-        write_atomic = training.write_atomic
+        write_atomic = mmf.write_atomic
 
         def stop_at(path, data, **kwargs):
             if os.path.basename(path) == failing:
@@ -351,7 +362,7 @@ class TestTrainer:
             write_atomic(path, data, **kwargs)
 
         monkeypatch.setattr(checkpoint, "write_atomic", stop_at)
-        monkeypatch.setattr(training, "write_atomic", stop_at)
+        monkeypatch.setattr(mmf, "write_atomic", stop_at)   # under write_json
         with pytest.raises(OSError, match="injected"):
             resumed.run()
         assert resumed.global_step == 4
@@ -408,8 +419,11 @@ class TestTrainer:
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=67),
                            records, (), dirs[0])
 
-    @pytest.mark.parametrize("moment, value", [("v", -0.5), ("v", np.inf), ("m", np.nan)])
-    def test_adam_moment_the_saver_cannot_write_is_refused(self, tmp_path, moment, value):
+    @pytest.mark.parametrize("moment, value, message", [
+        ("v", -0.5, "part: a second Adam moment is negative"),
+        ("v", np.inf, "trainer_state.bin: a stored value is not finite"),
+        ("m", np.nan, "trainer_state.bin: a stored value is not finite")], ids=["v--0.5", "v-inf", "m-nan"])
+    def test_adam_moment_the_saver_cannot_write_is_refused(self, tmp_path, moment, value, message):
         # with its SHA-256 updated to match: a negative second moment would put NaN into the parameter at the
         # next step, through the square root
         records = mean_records(16, seed=83)
@@ -427,8 +441,31 @@ class TestTrainer:
         state["sha256"]["trainer_state.bin"] = hashlib.sha256(blob).hexdigest()
         with open(path, "w") as fh:
             json.dump(state, fh)
-        with pytest.raises(DataError, match="an Adam moment is not finite, or a second moment is negative"):
+        with pytest.raises(DataError, match=message):
             Trainer.resume(cfg(max_steps=2), records, (), part_dir)
+
+    def test_a_step_to_a_non_finite_weight_saves_nothing(self, tmp_path):
+        # the saved first moment of the head bias is 3e38 and its second moment 0, with the SHA-256 updated:
+        # the next step divides the first by 0.19 and moves the bias to infinity, so the run stops at its save
+        records = mean_records(16, seed=87)
+        cfg = partial(TrainConfig, model=small_config(), lr=1e-3, batch_size=8, epochs=3, seed=89)
+        part, out = tmp_path / "part", tmp_path / "out"
+        train(cfg(max_steps=1, checkpoint_dir=str(part)), records)
+        state = json.loads((part / "trainer_state.json").read_text())
+        blob = bytearray((part / "trainer_state.bin").read_bytes())
+        for entry in state["adam_manifest"]:
+            if entry["name"] in ("m.head.b", "v.head.b"):
+                size = 4 * int(np.prod(entry["shape"]))
+                moment = 3e38 if entry["name"][0] == "m" else 0.0
+                blob[entry["offset"]:entry["offset"] + size] = np.full(size // 4, moment, "<f4").tobytes()
+        (part / "trainer_state.bin").write_bytes(blob)
+        state = edited(state, ("sha256", "trainer_state.bin"), hashlib.sha256(blob).hexdigest())
+        (part / "trainer_state.json").write_text(json.dumps(state))
+        trainer = Trainer.resume(cfg(max_steps=2, checkpoint_dir=str(out)), records, (), str(part))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="last.bin: a value to save is not finite"):
+            trainer.run()
+        assert trainer.global_step == 2 and not np.isfinite(trainer.model.params["head.b"].data).all()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("keys, value", [
         *[((key,), DROP) for key in STATE_FIELDS],
@@ -444,26 +481,14 @@ class TestTrainer:
         (("adam_t",), 2**63), (("global_step",), 2**63), (("losses",), [[-1, 0.5]]),
         (("evals",), {}), (("evals",), [[1, 0.5]]), (("evals",), [[1, "step,loss"]]), (("evals",), [["1", ""]]),
     ], ids=lambda v: "missing" if v is DROP else ".".join(v) if isinstance(v, tuple) else f"{v!r:.40}")
-    def test_malformed_state_field_is_data_error(self, tmp_path, keys, value):
-        records = mean_records(16, seed=69)
-        part_dir = str(tmp_path / "part")
-        train(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=1, seed=71,
-                          checkpoint_dir=part_dir), records)
-        path = os.path.join(part_dir, "trainer_state.json")
-        with open(path) as fh:
-            state = json.load(fh)
-        owner = state
-        for key in keys[:-1]:
-            owner = owner[key]
-        if value is DROP:
-            del owner[keys[-1]]
-        else:
-            owner[keys[-1]] = value
-        with open(path, "w") as fh:
-            json.dump(state, fh)
+    def test_malformed_state_field_is_data_error(self, saved_epoch, tmp_path, keys, value):
+        saved, records = saved_epoch
+        part = shutil.copytree(saved, tmp_path / "part")
+        state = json.loads((part / "trainer_state.json").read_text())
+        (part / "trainer_state.json").write_text(json.dumps(edited(state, keys, value)))
         with pytest.raises(DataError, match=f"field '{keys[0]}'"):
             Trainer.resume(TrainConfig(model=small_config(), lr=1e-3, batch_size=8, epochs=2, seed=71),
-                           records, (), part_dir)
+                           records, (), str(part))
 
     def test_best_map_written_as_an_integer_resumes_runs_and_saves(self, tmp_path):
         records = mean_records(16, seed=73)

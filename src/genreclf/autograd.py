@@ -1,12 +1,18 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Every operation that touches a tensor requiring gradients appends a node to
-a global tape. ``backward(loss)`` walks the tape in exact reverse recording
-order, accumulating gradients additively into each input's ``.grad`` array,
-then clears the tape. One backward pass per recorded graph; run forward
-again to differentiate again. Wrap pure inference in ``no_grad()`` so
-nothing is recorded. ``attention`` is one node over packed sequences, and
-keeps only each sequence's probabilities for backward.
+Recording rule: every op computes its output, defines its backward closure
+and returns ``_record(out, backward_fn, *inputs)``, the one place that
+decides. When the tape is recording and an input requires gradients, it
+appends one node and marks the output as requiring gradients; otherwise the
+closure is dropped and the output is a constant. Only two ops ask
+``_wants_grad`` themselves, because their forward pass would otherwise build
+an array that backward alone reads: ``relu``'s positive mask and
+``attention``'s per-sequence probabilities. ``backward(loss)`` walks the tape
+in exact reverse recording order, accumulating gradients additively into each
+input's ``.grad`` array, then clears the tape. One backward pass per recorded
+graph; run forward again to differentiate again. Wrap pure inference in
+``no_grad()`` so nothing is recorded. ``attention`` is one node over packed
+sequences.
 
 Dtype contract: float32 is the training dtype and matrix products go
 through BLAS; a constant given to ``add`` or ``mul`` (scalar or array)
@@ -24,6 +30,7 @@ one is rounded to it before it is added, so backward closures pass their
 results on uncast.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -109,8 +116,9 @@ def clear_tape():
     _TAPE.nodes.clear()
 
 
-def _record(out: Tensor, backward_fn):
-    if _TAPE.recording:
+def _record(out: Tensor, backward_fn, *inputs) -> Tensor:
+    """``out``, with its node appended when an input wants a gradient."""
+    if _wants_grad(*inputs):
         out.requires_grad = True
         _TAPE.nodes.append((out, backward_fn))
     return out
@@ -166,38 +174,30 @@ def _operand(b, dtype) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     b = _operand(b, a.dtype)
-    out = Tensor(a.data + b.data)
-    if _wants_grad(a, b):
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        _record(out, bwd)
-    return out
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+    return _record(Tensor(a.data + b.data), bwd, a, b)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _operand(b, a.dtype)
-    out = Tensor(a.data * b.data)
-    if _wants_grad(a, b):
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
-        _record(out, bwd)
-    return out
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+    return _record(Tensor(a.data * b.data), bwd, a, b)
 
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0))
-    if _wants_grad(x):
-        pos = x.data > 0
-        def bwd(g, x=x, pos=pos):
-            x._accumulate(g * pos)
-        _record(out, bwd)
-    return out
+    pos = x.data > 0 if _wants_grad(x) else None
+    def bwd(g, x=x, pos=pos):
+        x._accumulate(g * pos)
+    return _record(out, bwd, x)
 
 
 def sigmoid_array(z: np.ndarray) -> np.ndarray:
@@ -209,12 +209,9 @@ def sigmoid_array(z: np.ndarray) -> np.ndarray:
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)) computed without overflow for large |x|."""
     d = x.data
-    out = Tensor(np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0))
-    if _wants_grad(x):
-        def bwd(g, x=x, d=d):
-            x._accumulate(g * sigmoid_array(d))
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, d=d):
+        x._accumulate(g * sigmoid_array(d))
+    return _record(Tensor(np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0)), bwd, x)
 
 
 # -- matmul --------------------------------------------------------------
@@ -248,72 +245,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.ndim == 2:
         # one matrix for every leading row of ``a``: each product is one GEMM
         a2 = a.data.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-        out = Tensor(_mm(a2, b.data).reshape(a.shape[:-1] + b.shape[1:]))
-        if _wants_grad(a, b):
-            def bwd(g, a=a, b=b, a2=a2):
-                g2 = g.reshape(a2.shape[0], b.shape[1])
-                if a.requires_grad:
-                    a._accumulate(_mm(g2, b.data.T).reshape(a.shape))
-                if b.requires_grad:
-                    b._accumulate(_mm(a2.T, g2))
-            _record(out, bwd)
-        return out
-    out = Tensor(_mm(a.data, b.data))
-    if _wants_grad(a, b):
-        def bwd(g, a=a, b=b):
+        def bwd(g, a=a, b=b, a2=a2):
+            g2 = g.reshape(a2.shape[0], b.shape[1])
             if a.requires_grad:
-                ga = _mm(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
+                a._accumulate(_mm(g2, b.data.T).reshape(a.shape))
             if b.requires_grad:
-                gb = _mm(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
-        _record(out, bwd)
-    return out
+                b._accumulate(_mm(a2.T, g2))
+        return _record(Tensor(_mm(a2, b.data).reshape(a.shape[:-1] + b.shape[1:])), bwd, a, b)
+
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(_mm(np.swapaxes(a.data, -1, -2), g), b.shape))
+    return _record(Tensor(_mm(a.data, b.data)), bwd, a, b)
 
 
 # -- reductions / shape --------------------------------------------------
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-    if _wants_grad(x):
-        def bwd(g, x=x, axis=axis, keepdims=keepdims):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(g, x.shape))
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, axis=axis, keepdims=keepdims):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(g, x.shape))
+    return _record(Tensor(x.data.sum(axis=axis, keepdims=keepdims)), bwd, x)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = x.size if axis is None else x.shape[axis]
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-    if _wants_grad(x):
-        def bwd(g, x=x, axis=axis, keepdims=keepdims, count=count):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(g, x.shape) / count)
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, axis=axis, keepdims=keepdims, count=count):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(g, x.shape) / count)
+    return _record(Tensor(x.data.mean(axis=axis, keepdims=keepdims)), bwd, x)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    if _wants_grad(x):
-        def bwd(g, x=x):
-            x._accumulate(g.reshape(x.shape))
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x):
+        x._accumulate(g.reshape(x.shape))
+    return _record(Tensor(x.data.reshape(shape)), bwd, x)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out = Tensor(x.data.transpose(axes))
-    if _wants_grad(x):
-        inv = np.argsort(axes)
-        def bwd(g, x=x, inv=inv):
-            x._accumulate(g.transpose(inv))
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, axes=axes):   # by the inverse permutation of ``axes``
+        x._accumulate(g.transpose(sorted(range(len(axes)), key=lambda i: axes[i])))
+    return _record(Tensor(x.data.transpose(axes)), bwd, x)
 
 
 def _runs(a: np.ndarray) -> np.ndarray:
@@ -327,31 +304,23 @@ def _runs(a: np.ndarray) -> np.ndarray:
 def take(x: Tensor, idx: np.ndarray) -> Tensor:
     """Rows ``idx`` (an integer array that may repeat a row) of ``x``; backward
     adds each row's gradients into it in index order."""
-    out = Tensor(x.data[idx])
-    if _wants_grad(x):
-        def bwd(g, x=x, idx=idx):
-            full = np.zeros_like(x.data)
-            cuts = _runs(idx - np.arange(len(idx)))   # runs of consecutive rows
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                full[idx[a]:idx[a] + b - a] += g[a:b]
-            x._accumulate(full)
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, idx=idx):
+        full = np.zeros_like(x.data)
+        cuts = _runs(idx - np.arange(len(idx)))   # runs of consecutive rows
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            full[idx[a]:idx[a] + b - a] += g[a:b]
+        x._accumulate(full)
+    return _record(Tensor(x.data[idx]), bwd, x)
 
 
 def concat(tensors, axis: int) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    if _wants_grad(*tensors):
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def bwd(g, tensors=tuple(tensors), offsets=offsets, axis=axis):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(sl)])
-        _record(out, bwd)
-    return out
+    tensors = tuple(tensors)
+    def bwd(g, tensors=tensors, axis=axis):
+        cuts = list(itertools.accumulate(t.shape[axis] for t in tensors[:-1]))
+        for t, gt in zip(tensors, np.split(g, cuts, axis=axis)):
+            if t.requires_grad:
+                t._accumulate(gt)
+    return _record(Tensor(np.concatenate([t.data for t in tensors], axis=axis)), bwd, *tensors)
 
 
 # -- normalization / attention pieces -------------------------------------
@@ -369,13 +338,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-stable softmax over the last axis: the row max is subtracted
     before exponentiating, so each row of finite entries sums to 1. A -inf
     entry comes out as 0 (an additive mask); a row needs one finite entry."""
-    out = Tensor(_softmax_(x.data.copy()))
-    if _wants_grad(x):
-        def bwd(g, x=x, y=out.data):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
-        _record(out, bwd)
-    return out
+    y = _softmax_(x.data.copy())
+    def bwd(g, x=x, y=y):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        x._accumulate(y * (g - dot))
+    return _record(Tensor(y), bwd, x)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
@@ -412,23 +379,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
         out[qi] = merge(_mm(_softmax_(p), split(v.data, ki, n, t)))
         if keep:
             probs.append(p)
-    out = Tensor(out)
-    if keep:
-        def bwd(g, q=q, k=k, v=v):
-            gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
-            for (qi, ki, n, tq, t), p in zip(stacks, probs):
-                gi = split(g, qi, n, tq)
-                gv[ki] = merge(_mm(p.swapaxes(-1, -2), gi))
-                dp = _mm(gi, split(v.data, ki, n, t).swapaxes(-1, -2))
-                ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-                ds *= scale
-                gq[qi] = merge(_mm(ds, split(k.data, ki, n, t)))
-                gk[ki] = merge(_mm(split(q.data, qi, n, tq).swapaxes(-1, -2), ds).swapaxes(-1, -2))
-            for t, gt in zip((q, k, v), (gq, gk, gv)):
-                if t.requires_grad:
-                    t._accumulate(gt)
-        _record(out, bwd)
-    return out
+
+    def bwd(g, q=q, k=k, v=v):
+        gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
+        for (qi, ki, n, tq, t), p in zip(stacks, probs):
+            gi = split(g, qi, n, tq)
+            gv[ki] = merge(_mm(p.swapaxes(-1, -2), gi))
+            dp = _mm(gi, split(v.data, ki, n, t).swapaxes(-1, -2))
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            gq[qi] = merge(_mm(ds, split(k.data, ki, n, t)))
+            gk[ki] = merge(_mm(split(q.data, qi, n, tq).swapaxes(-1, -2), ds).swapaxes(-1, -2))
+        for t, gt in zip((q, k, v), (gq, gk, gv)):
+            if t.requires_grad:
+                t._accumulate(gt)
+    return _record(Tensor(out), bwd, q, k, v)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -440,19 +405,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = ((d - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (d - mu) * inv
-    out = Tensor((xhat * gain.data + bias.data).astype(d.dtype, copy=False))
-    if _wants_grad(x, gain, bias):
-        def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
-            if gain.requires_grad:
-                gain._accumulate((g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
-            if bias.requires_grad:
-                bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-            if x.requires_grad:
-                gg = g * gain.data
-                term = gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(term * inv)
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
+        if gain.requires_grad:
+            gain._accumulate((g * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0))
+        if bias.requires_grad:
+            bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if x.requires_grad:
+            gg = g * gain.data
+            term = gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(term * inv)
+    return _record(Tensor((xhat * gain.data + bias.data).astype(d.dtype, copy=False)), bwd, x, gain, bias)
 
 
 def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None, rows: np.ndarray = None,
@@ -474,9 +436,6 @@ def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None, rows: np
         keep = rng.uniform_rows((total_rows,) + x.shape[1:], rows) >= rate
     scale = 1.0 / (1.0 - rate)
     mask = keep.astype(x.dtype) * np.asarray(scale, dtype=x.dtype)
-    out = Tensor(x.data * mask)
-    if _wants_grad(x):
-        def bwd(g, x=x, mask=mask):
-            x._accumulate(g * mask)
-        _record(out, bwd)
-    return out
+    def bwd(g, x=x, mask=mask):
+        x._accumulate(g * mask)
+    return _record(Tensor(x.data * mask), bwd, x)

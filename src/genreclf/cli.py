@@ -71,13 +71,13 @@ def _load_split_records(data_dir: str):
 
 def cmd_import(args) -> int:
     summary = import_npy(args.npy_dir, args.manifest, args.out, default_modalities())
-    _write_run_manifest(args, {"npy_dir": args.npy_dir, "manifest": args.manifest}, args.seed or 0)
     for msg in summary["errors"]:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"imported {summary['imported']} videos, {summary['failed']} failed, "
           f"{summary['dropped_genre_labels']} unknown genre labels dropped")
     if summary["imported"] == 0:
         raise DataError("nothing imported")
+    _write_run_manifest(args, {"npy_dir": args.npy_dir, "manifest": args.manifest}, args.seed or 0)
     return 0
 
 

@@ -22,7 +22,7 @@ class MmfFormatError(DataError):
 
 
 class NumericError(GenreclfError):
-    """Non-finite values encountered during training (CLI exit code 4)."""
+    """Non-finite values encountered in training or scoring (CLI exit code 4)."""
 
 
 _REQUIRED = object()

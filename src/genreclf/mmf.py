@@ -242,7 +242,6 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     with reading(manifest_path):
         samples = config_field(src, "samples", list, [], "source manifest")
     spec_by_name = {s.name: s for s in specs}
-    os.makedirs(out_dir, exist_ok=True)
     records = {}   # by id
     errors = []
     dropped_genres = 0
@@ -272,11 +271,18 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
             dropped_genres += len(genres) - len(known)
             if not known:
                 raise DataError(f"{vid}: no genres from the fixed vocabulary")
-            out_path = os.path.join(out_dir, f"{vid}.mmf")
-            write_mmf(features, out_path)
-            records[vid] = VideoRecord(id=vid, duration_s=duration, genres=tuple(known), path=out_path)
-        except (DataError, OSError) as exc:   # OSError: the entry's .mmf cannot be written
+        except DataError as exc:
             errors.append(str(exc))
+            continue
+        if not records:   # out_dir is made before the first .mmf; one that cannot be made stops the import
+            os.makedirs(out_dir, exist_ok=True)
+        out_path = os.path.join(out_dir, f"{vid}.mmf")
+        try:
+            write_mmf(features, out_path)
+        except (DataError, OSError) as exc:   # the entry's .mmf cannot be written
+            errors.append(str(exc))
+            continue
+        records[vid] = VideoRecord(id=vid, duration_s=duration, genres=tuple(known), path=out_path)
     if records:
         write_manifest(list(records.values()), os.path.join(out_dir, "manifest.json"))
     return {"imported": len(records), "failed": len(errors), "errors": errors, "dropped_genre_labels": dropped_genres}

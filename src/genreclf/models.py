@@ -28,7 +28,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .data import Batch, make_batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
-from .errors import ConfigError, DataError, config_field, config_fields
+from .errors import ConfigError, DataError, NumericError, config_field, config_fields
 from .modalities import ModalitySpec, default_modalities
 from .nn import Linear, ParameterStore, Segments, TransformerEncoderLayer, init_embedding
 from .rng import SeededRng, derive_seed
@@ -247,10 +247,15 @@ def build_model(config: ModelConfig, seed: int | None, dtype=np.float32) -> _Mod
 
 
 def predict_scores(model: _Model, batch: Batch) -> np.ndarray:
-    """Eval-mode genre probabilities for a prepared batch. (B, 21)"""
+    """Eval-mode genre probabilities for a prepared batch. (B, 21) A record
+    whose scores are not all finite is a ``NumericError`` naming it."""
     with no_grad():
         logits = model.forward(batch, train=False)
-    return ag.sigmoid_array(logits.data.astype(np.float64)).astype(np.float32)
+    scores = ag.sigmoid_array(logits.data.astype(np.float64)).astype(np.float32)
+    bad = [r.id for r, ok in zip(batch.records, np.isfinite(scores).all(axis=1)) if not ok]
+    if bad:
+        raise NumericError(f"non-finite scores for record ids {bad}")
+    return scores
 
 
 def predict(model: _Model, record):

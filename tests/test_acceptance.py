@@ -14,7 +14,7 @@ import genreclf.autograd as ag
 from genreclf.autograd import Tensor
 from genreclf.data import VideoRecord, filter_by_duration, make_batch, split_dataset, split_records
 from genreclf.gradcheck import grad_check
-from genreclf.metrics import average_precision, compute_report, precision_recall_at
+from genreclf.metrics import average_precision, precision_recall_at
 from genreclf.mmf import import_npy, read_mmf, write_mmf
 from genreclf.modalities import ModalitySpec, default_modalities
 from genreclf.models import ModelConfig, build_model, predict_scores
@@ -23,6 +23,7 @@ from genreclf.rng import SeededRng
 from genreclf.synth import ORDER_GENRES, synth_mean_encoded, synth_order_encoded
 from genreclf.training import TrainConfig, Trainer, train, weighted_bce
 from genreclf.vocab import GENRE_INDEX, GENRES
+from references import batched_map, brute_force_ap
 
 GRAD_TOL = 1e-4          # criterion 1
 LOSS_CASE_TOL = 1e-5     # criterion 3
@@ -114,22 +115,6 @@ def test_criterion_1_gradients():
 
 # -- criterion 2: metric oracle equivalence --------------------------------
 
-def brute_force_ap(scores, targets):
-    scores = [float(s) for s in scores]
-    targets = [bool(t) for t in targets]
-    total_pos = sum(targets)
-    points = []
-    for thresh in sorted(set(scores), reverse=True):
-        tp = sum(1 for s, y in zip(scores, targets) if s >= thresh and y)
-        fp = sum(1 for s, y in zip(scores, targets) if s >= thresh and not y)
-        points.append((tp / total_pos, tp / (tp + fp)))
-    ap, prev = 0.0, 0.0
-    for rec, prec in points:
-        ap += (rec - prev) * prec
-        prev = rec
-    return ap
-
-
 def test_criterion_2_metric_oracle():
     rng = SeededRng(0)
     checked = 0
@@ -186,18 +171,6 @@ LEARN_SPECS = (ModalitySpec("clip", 16, 12), ModalitySpec("ocr", 8, 6), Modality
                ModalitySpec("audiotag", 8, 8), ModalitySpec("musicnet", 6, 4))
 
 
-def batched_training_map(model, records):
-    scores = []
-    targets = []
-    for lo in range(0, len(records), 64):
-        chunk = records[lo:lo + 64]
-        batch = make_batch(chunk, model.config.modalities)
-        scores.append(predict_scores(model, batch))
-        targets.append(batch.labels)
-    report = compute_report(np.vstack(scores), np.vstack(targets), 0.5)
-    return report.mean_ap
-
-
 @pytest.mark.slow
 def test_criterion_4_planted_signal_learnability():
     records = synth_mean_encoded(512, seed=0, noise_std=0.1, specs=LEARN_SPECS)
@@ -212,7 +185,7 @@ def test_criterion_4_planted_signal_learnability():
         for budget in (500, 1000, 1500, LEARN_STEPS):
             trainer.config.max_steps = budget
             trainer.run()
-            mean_ap = batched_training_map(trainer.model, records)
+            mean_ap = batched_map(trainer.model, records)
             if mean_ap >= LEARN_MAP:
                 hit = (trainer.global_step, mean_ap)
                 break

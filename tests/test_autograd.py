@@ -317,40 +317,45 @@ def _rand(rng, shape):
     return Tensor(rng.normal(shape), requires_grad=True, dtype=np.float64)
 
 
-OPS = {
+OPS = {   # name: (loss of the inputs, inputs, one call of the op under test alone)
     "add": (lambda a, b: ag.tsum(ag.mul(ag.add(a, b), ag.add(a, b))),
-            lambda rng: [_rand(rng, (3, 4)), _rand(rng, (4,))]),
+            lambda rng: [_rand(rng, (3, 4)), _rand(rng, (4,))], ag.add),
     "mul": (lambda a, b: ag.tsum(ag.mul(a, b)),
-            lambda rng: [_rand(rng, (3, 4)), _rand(rng, (3, 4))]),
+            lambda rng: [_rand(rng, (3, 4)), _rand(rng, (3, 4))], ag.mul),
     "matmul": (lambda a, b: ag.tsum(ag.mul(ag.matmul(a, b), 0.7)),
-               lambda rng: [_rand(rng, (3, 4)), _rand(rng, (4, 2))]),
+               lambda rng: [_rand(rng, (3, 4)), _rand(rng, (4, 2))], ag.matmul),
     "folded_matmul": (lambda a, b: ag.tsum(ag.mul(ag.matmul(a, b), np.arange(12.0).reshape(2, 3, 2) / 7.0)),
-                      lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (4, 2))]),
+                      lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (4, 2))], ag.matmul),
     "batched_matmul": (lambda a, b: ag.tsum(ag.matmul(a, b)),
-                       lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 2))]),
-    "relu": (lambda a: ag.tsum(ag.relu(a)), lambda rng: [_rand(rng, (5, 5))]),
-    "softplus": (lambda a: ag.tsum(ag.softplus(a)), lambda rng: [_rand(rng, (5,))]),
+                       lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 2))], ag.matmul),
+    "relu": (lambda a: ag.tsum(ag.relu(a)), lambda rng: [_rand(rng, (5, 5))], ag.relu),
+    "softplus": (lambda a: ag.tsum(ag.softplus(a)), lambda rng: [_rand(rng, (5,))], ag.softplus),
     "softmax": (lambda a: ag.tsum(ag.mul(ag.softmax_rows(a), np.arange(6.0).reshape(2, 3))),
-                lambda rng: [_rand(rng, (2, 3))]),
+                lambda rng: [_rand(rng, (2, 3))], ag.softmax_rows),
     "attention": (lambda q, k, v: ag.tsum(ag.mul(ag.attention(q, k, v, 2, np.array([0, 2, 2, 5])),
                                                   np.arange(20.0).reshape(5, 4) / 10.0)),
-                  lambda rng: [_rand(rng, (5, 4)) for _ in range(3)]),
+                  lambda rng: [_rand(rng, (5, 4)) for _ in range(3)],
+                  lambda q, k, v: ag.attention(q, k, v, 2, np.array([0, 2, 2, 5]))),
     "class_attention": (lambda q, k, v: ag.tsum(ag.mul(ag.attention(q, k, v, 2, np.array([0, 2, 2, 5]), True),
                                                         np.arange(12.0).reshape(3, 4) / 10.0)),
-                        lambda rng: [_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, (5, 4))]),
+                        lambda rng: [_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, (5, 4))],
+                        lambda q, k, v: ag.attention(q, k, v, 2, np.array([0, 2, 2, 5]), True)),
     "layer_norm": (lambda x, g, b: ag.tsum(ag.mul(ag.layer_norm(x, g, b), np.arange(8.0).reshape(2, 4))),
-                   lambda rng: [_rand(rng, (2, 4)), _rand(rng, (4,)), _rand(rng, (4,))]),
+                   lambda rng: [_rand(rng, (2, 4)), _rand(rng, (4,)), _rand(rng, (4,))], ag.layer_norm),
     "sum_axis": (lambda a: ag.tsum(ag.mul(ag.tsum(a, axis=1), ag.tsum(a, axis=1))),
-                 lambda rng: [_rand(rng, (3, 4))]),
+                 lambda rng: [_rand(rng, (3, 4))], lambda a: ag.tsum(a, axis=1)),
     "mean_axis": (lambda a: ag.tsum(ag.mul(ag.tmean(a, axis=0), 3.0)),
-                  lambda rng: [_rand(rng, (3, 4))]),
+                  lambda rng: [_rand(rng, (3, 4))], lambda a: ag.tmean(a, axis=0)),
     "reshape_transpose": (
         lambda a: ag.tsum(ag.mul(ag.transpose(ag.reshape(a, (2, 6)), (1, 0)), np.arange(12.0).reshape(6, 2))),
-        lambda rng: [_rand(rng, (3, 4))]),
+        lambda rng: [_rand(rng, (3, 4))], lambda a: ag.transpose(a, (1, 0))),
     "take": (lambda a: ag.tsum(ag.mul(ag.take(a, np.array([2, 0, 2, 3, 2])), np.arange(15.0).reshape(5, 3))),
-             lambda rng: [_rand(rng, (4, 3))]),
+             lambda rng: [_rand(rng, (4, 3))], lambda a: ag.take(a, np.array([2, 0, 2, 3, 2]))),
     "concat": (lambda a, b: ag.tsum(ag.mul(ag.concat([a, b], axis=1), 0.3)),
-               lambda rng: [_rand(rng, (2, 3)), _rand(rng, (2, 2))]),
+               lambda rng: [_rand(rng, (2, 3)), _rand(rng, (2, 2))], lambda a, b: ag.concat([a, b], axis=1)),
+    # each call draws the same mask from a fresh stream
+    "dropout": (lambda a: ag.tsum(ag.mul(ag.dropout(a, 0.5, True, SeededRng(99)), np.arange(12.0).reshape(3, 4))),
+                lambda rng: [_rand(rng, (3, 4))], lambda a: ag.dropout(a, 0.5, True, SeededRng(99))),
 }
 
 
@@ -358,20 +363,33 @@ OPS = {
 def test_every_op_gradient_many_seeds(name):
     """Each differentiable op passes a double-precision finite-difference
     check on randomized inputs over at least 20 seeds."""
-    loss_fn, make_params = OPS[name]
+    loss_fn, make_params, _ = OPS[name]
     for seed in range(20):
         params = make_params(SeededRng(seed))
         err = grad_check(lambda: loss_fn(*params), params, eps=1e-6)
         assert err < 1e-4, f"{name} seed {seed}: rel err {err}"
 
 
-def test_dropout_gradient_with_fixed_mask():
-    x = Tensor(SeededRng(3).normal((6, 6)), requires_grad=True, dtype=np.float64)
-
-    def f():
-        return ag.tsum(ag.dropout(x, 0.5, train=True, rng=SeededRng(99)))
-
-    assert grad_check(f, [x], eps=1e-6) < 1e-4
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_every_op_records_one_node_only_when_an_input_wants_a_gradient(name):
+    """Each op's one call appends exactly one node when any one of its inputs
+    requires a gradient, and none for constant inputs or under no_grad."""
+    _, make_params, op = OPS[name]
+    params = make_params(SeededRng(0))
+    constants = [Tensor(p.data) for p in params]
+    ag.clear_tape()
+    try:
+        for i, p in enumerate(params):
+            out = op(*constants[:i], p, *constants[i + 1:])
+            assert ag.tape_size() == 1 and out.requires_grad, f"{name}: input {i} wants a gradient"
+            ag.clear_tape()
+        out = op(*constants)
+        assert ag.tape_size() == 0 and not out.requires_grad
+        with no_grad():
+            out = op(*params)
+        assert ag.tape_size() == 0 and not out.requires_grad
+    finally:
+        ag.clear_tape()
 
 
 class TestDropout:

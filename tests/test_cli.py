@@ -155,7 +155,18 @@ class TestImport:
             assert summary in captured.out
             assert f"warning: {warning.format(src=manifest)}" in captured.err and "Traceback" not in captured.err
         outside = {p for p in tmp_path.rglob("*") if not any(out in p.parents for out in outs)}
-        assert outside == {src, src / "v.clip.npy", manifest, *outs}
+        assert outside == {src, src / "v.clip.npy", manifest, outs[1]}   # the refused import made no out0
+
+    def test_out_that_cannot_be_made_is_one_data_error(self, tmp_path, capsys):
+        np.save(tmp_path / "v.clip.npy", np.ones((5, 512), dtype=np.float32))
+        manifest = tmp_path / "src.json"
+        manifest.write_text(json.dumps({"samples": [self.GOOD, {**self.GOOD, "id": "other"}]}))
+        out = tmp_path / "out"
+        out.write_text("a file")
+        assert main(["import", "--npy-dir", str(tmp_path), "--manifest", str(manifest), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+        assert out.read_text() == "a file"
 
     def test_duplicate_id_imports_first_entry_once(self, tmp_path, capsys):
         src = tmp_path / "src"
@@ -445,7 +456,7 @@ REFUSALS = [
     *(Refusal(f"synth-flag-flags{i}", f"synth --kind mean --n 3 {flags} --out $tmp/ds", 2, "config error: ",
               (flags.split()[0],), ("$tmp/ds",))
       for i, flags in enumerate(["--n 0", "--n -2", "--noise-std nan", "--noise-std inf", "--noise-std -0.1"])),
-    Refusal("import-all-fail", IMPORT, 3, "data error: nothing imported\n", absent=("$tmp/out/manifest.json",),
+    Refusal("import-all-fail", IMPORT, 3, "data error: nothing imported\n", absent=("$tmp/out",),
             write=("$tmp/src.json", b'{"samples": []}')),
     *(Refusal(f"import-source-{id}", IMPORT, 3, f"data error: $tmp/src.json: {message}\n", absent=("$tmp/out",),
               write=("$tmp/src.json", json.dumps(doc).encode()))
@@ -579,6 +590,16 @@ REFUSALS = [
               "data error: $trained/best.bin: a stored value is not finite\n", absent=RUN[command][1], copy="trained",
               write=("$trained/best.bin", lambda old: np.float32(np.nan).tobytes() + old[4:]))
       for command in ("eval", "predict")),
+    # a feature file's last float, a value every model reads, made NaN: synth000009 is a test record, synth000007
+    # the validation record and predict names a record by its file name
+    *(Refusal(f"non-finite-scores-{command}", argv, 4, f"numeric failure: non-finite scores for record ids ['{id}']\n",
+              absent=absent, copy="mean_data",
+              write=(f"$mean_data/{id.removesuffix('.mmf')}.mmf", lambda old: old[:-4] + np.float32(np.nan).tobytes()))
+      for command, argv, absent, id in [
+          ("eval", RUN["eval"][0], RUN["eval"][1], "synth000009"),
+          ("predict", RUN["predict"][0], RUN["predict"][1], "synth000000.mmf"),
+          ("train", "train --preset mlp --max-steps 1 --eval-interval 1 --data $mean_data --out $tmp/x",
+           ("$tmp/x/history.csv",), "synth000007")]),
     Refusal("predict-empty-file", "predict --checkpoint $trained/best --input $tmp/empty.mmf", 3, "data error: ",
             ("truncated while reading magic at byte 0",), write=("$tmp/empty.mmf", b"")),
     *(Refusal(f"threshold-flag-{threshold}-{command}", f"{RUN[command][0]} --threshold {threshold}", 2,

@@ -13,19 +13,11 @@ from genreclf.mmf import import_npy, read_mmf, write_atomic, write_json, write_m
 from genreclf.modalities import DEFAULT_SPECS, ModalitySpec, default_modalities
 from genreclf.rng import SeededRng
 from genreclf.vocab import GENRES, label_vector
+from references import masked_mean
 
 
 def rec(i, duration=100.0, genres=("Action",), features=None):
     return VideoRecord(id=f"v{i:05d}", duration_s=duration, genres=genres, features=features or {})
-
-
-def masked_mean(x, mask):
-    """The padded reference of a temporal mean: the (..., D) float32 mean of
-    the rows of (..., T, D) ``x`` where the (..., T) ``mask`` holds, summed in
-    float64 in row order, or zeros where none holds."""
-    valid = np.asarray(mask, dtype=bool)[..., None]
-    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=valid)
-    return (total / np.maximum(valid.sum(axis=-2), 1)).astype(np.float32)
 
 
 class TestFilter:

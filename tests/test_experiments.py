@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from genreclf.cli import main
-from genreclf.data import make_batch, split_records, write_manifest
-from genreclf.metrics import compute_report
+from genreclf.data import split_records, write_manifest
 from genreclf.mmf import write_mmf
 from genreclf.modalities import ModalitySpec
-from genreclf.models import ModelConfig, predict_scores
+from genreclf.models import ModelConfig
 from genreclf.rng import derive_seed
 from genreclf.synth import synth_mean_encoded, synth_order_encoded
 from genreclf.training import TrainConfig, Trainer
+from references import batched_map
 
 SPECS = {
     "clip": ModalitySpec("clip", 16, 12),
@@ -33,16 +33,6 @@ ADDITION_CHAIN = [
     ("clip", "musicnet", "audiotag", "ocr"),
     ("clip", "musicnet", "audiotag", "ocr", "asr"),
 ]
-
-
-def batched_map(model, records):
-    scores, targets = [], []
-    for lo in range(0, len(records), 64):
-        chunk = records[lo:lo + 64]
-        batch = make_batch(chunk, model.config.modalities)
-        scores.append(predict_scores(model, batch))
-        targets.append(batch.labels)
-    return compute_report(np.vstack(scores), np.vstack(targets), 0.5).mean_ap
 
 
 @pytest.mark.slow

@@ -6,33 +6,7 @@ from genreclf.metrics import (average_precision, compute_report, format_table,
                               rank_order, report_from_csv, to_csv)
 from genreclf.rng import SeededRng
 from genreclf.vocab import GENRES
-
-
-def brute_force_ap(scores, targets):
-    """Independent AP reference: walk the distinct decision thresholds from
-    high to low, counting the confusion entries with explicit loops, and
-    integrate precision over recall increments."""
-    scores = [float(s) for s in scores]
-    targets = [bool(t) for t in targets]
-    total_pos = sum(targets)
-    if total_pos == 0:
-        return float("nan")
-    points = []
-    for thresh in sorted(set(scores), reverse=True):
-        tp = fp = 0
-        for s, y in zip(scores, targets):
-            if s >= thresh:
-                if y:
-                    tp += 1
-                else:
-                    fp += 1
-        points.append((tp / total_pos, tp / (tp + fp)))
-    ap = 0.0
-    prev_recall = 0.0
-    for recall, precision in points:
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+from references import brute_force_ap
 
 
 class TestAveragePrecision:

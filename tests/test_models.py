@@ -18,6 +18,7 @@ from genreclf.rng import SeededRng
 from genreclf.training import TrainConfig, Trainer, evaluate, weighted_bce
 from genreclf.vocab import GENRES
 from jsonedit import edited
+from references import masked_mean
 
 TOY_SPECS = (
     ModalitySpec("clip", 10, 7),
@@ -32,14 +33,6 @@ def toy_config(arch, averaged=(), dim=8, heads=2, layers=1, dropout=0.0):
         for s in TOY_SPECS)
     return ModelConfig(architecture=arch, model_dim=dim, num_layers=layers, num_heads=heads,
                        dropout_rate=dropout, modalities=mods)
-
-
-def masked_mean(x, mask):
-    """The padded reference of a temporal mean: the (B, D) float32 mean of
-    the rows of (B, T, D) ``x`` where the (B, T) ``mask`` holds, summed in
-    float64 in row order, or zeros where none holds."""
-    total = np.add.reduce(x, axis=-2, dtype=np.float64, where=mask[..., None])
-    return (total / np.maximum(mask.sum(axis=-1), 1)[:, None]).astype(np.float32)
 
 
 def toy_records(n, seed=0, specs=TOY_SPECS, max_extra=0):

@@ -740,14 +740,16 @@ def test_float32_preset_stays_float32(arch, monkeypatch):
     nodes, grad_dtypes, logits = [], set(), []
     record, bce = ag._record, training.weighted_bce
 
-    def spy_record(out, fn):
+    def spy_record(out, fn, *inputs):
         # backward releases each node's gradient once the node has run, so
         # its dtype is taken as the node receives it
         def bwd(g):
             grad_dtypes.add(g.dtype)
             return fn(g)
-        nodes.append(out)
-        return record(out, bwd)
+        record(out, bwd, *inputs)
+        if out.requires_grad:   # only a recorded node
+            nodes.append(out)
+        return out
 
     def spy_bce(z, targets, positive_weight):
         logits.append(z)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
 import argparse
+import concurrent.futures
 import dataclasses
 import os
 import sys
@@ -24,7 +25,7 @@ from .modalities import default_modalities
 from .checkpoint import load_checkpoint
 from .rng import SeededRng, derive_seed
 from .synth import synth_mean_encoded, synth_order_encoded
-from .training import TrainConfig, Trainer, evaluate
+from .training import TrainConfig, Trainer, evaluate, train
 from .vocab import GENRES
 
 EXIT_CONFIG = 2
@@ -87,10 +88,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--n must be >= 1 and --noise-std finite and >= 0, got {args.n} and {args.noise_std}")
     if args.kind == "mean":
         records = synth_mean_encoded(args.n, seed, noise_std=args.noise_std)
-    elif args.kind == "order":
+    else:   # argparse accepts only "mean" and "order"
         records = synth_order_encoded(args.n, seed)
-    else:
-        raise ConfigError(f"unknown synthetic kind {args.kind!r}")
     os.makedirs(args.out, exist_ok=True)
     for rec in records:
         path = os.path.join(args.out, f"{rec.id}.mmf")
@@ -162,59 +161,50 @@ def cmd_predict(args) -> int:
     return 0
 
 
-ABLATION_ROWS = (
-    {"modalities": ("clip",), "averaged": ()},
-    {"modalities": ("clip", "musicnet"), "averaged": ()},
-    {"modalities": ("clip", "musicnet", "audiotag"), "averaged": ()},
-    {"modalities": ("clip", "musicnet", "audiotag", "ocr"), "averaged": ()},
-    {"modalities": ("clip", "musicnet", "audiotag", "ocr"), "averaged": ("ocr",)},
-    {"modalities": ("clip", "musicnet", "audiotag", "ocr", "asr"), "averaged": ()},
-    {"modalities": ("clip", "musicnet", "audiotag", "ocr", "asr"), "averaged": ("ocr", "asr")},
-)
-
-
-def _row_label(row) -> str:
-    return "+".join(f"{m}*" if m in row["averaged"] else m for m in row["modalities"])
+# each row is its label: the feature set, with "*" marking a temporally averaged stream
+ABLATION_ROWS = ("clip", "clip+musicnet", "clip+musicnet+audiotag", "clip+musicnet+audiotag+ocr",
+                 "clip+musicnet+audiotag+ocr*", "clip+musicnet+audiotag+ocr+asr", "clip+musicnet+audiotag+ocr*+asr*")
 
 
 def _train_eval_once(cfg: TrainConfig, splits) -> float:
-    trainer = Trainer(cfg, splits["train"], splits["val"])
-    trainer.run()
-    report = evaluate(trainer.model, splits["test"] or splits["train"])
-    return report.mean_ap
+    model, _ = train(cfg, splits["train"], splits["val"])
+    return evaluate(model, splits["test"] or splits["train"]).mean_ap
 
 
-def _run_rows(jobs, threads: int):
-    """Run (key, cfg, splits) training jobs, optionally in worker processes.
-    Seeds are derived per row either way, so results do not depend on the
-    execution mode."""
-    if threads <= 1:
-        return [(key, _train_eval_once(cfg, splits)) for key, cfg, splits in jobs]
-    import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-        futures = [(key, pool.submit(_train_eval_once, cfg, splits)) for key, cfg, splits in jobs]
-        return [(key, f.result()) for key, f in futures]
+def _run_table(args, resolved: dict, csv_name: str, header: str, rows) -> int:
+    """Write the run manifest of the resolved config, then train and score
+    each (shown, fields, cfg, splits) row, in row order or under
+    ``--threads`` in worker processes, at most one per row; print ``shown``
+    and the row's mAP, and write ``fields`` and the mAP as a CSV line. Each
+    row carries its own seed, so the results do not depend on the execution
+    mode."""
+    _write_run_manifest(args, resolved, resolved["seed"])
+    shown, fields, cfgs, splits = zip(*rows)
+    if args.threads > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.threads, len(rows))) as pool:
+            scores = list(pool.map(_train_eval_once, cfgs, splits))
+    else:
+        scores = list(map(_train_eval_once, cfgs, splits))
+    for label, mean_ap in zip(shown, scores):
+        print(f"{label} mAP={mean_ap * 100:.2f}")
+    write_atomic(os.path.join(args.out, csv_name),
+                 (header + "\n" + "".join(f"{row},{mean_ap!r}\n" for row, mean_ap in zip(fields, scores))).encode())
+    return 0
 
 
 def cmd_ablate(args) -> int:
     base = _load_train_config(args)
     splits, _ = _load_split_records(args.data)
-    _write_run_manifest(args, base.to_dict(), base.seed)
     configured = {s.name: s for s in base.model.modalities}
-    jobs = []
-    for i, row in enumerate(ABLATION_ROWS):
-        modalities = tuple(dataclasses.replace(configured.get(s.name, s), temporal_average=s.name in row["averaged"])
-                           for s in default_modalities(row["modalities"]))
-        model_cfg = dataclasses.replace(base.model, modalities=modalities)
-        cfg = dataclasses.replace(base, model=model_cfg, seed=derive_seed(base.seed, "ablate", i),
-                                  checkpoint_dir=None)
-        jobs.append((_row_label(row), cfg, splits))
-    rows_out = _run_rows(jobs, args.threads)
-    for label, mean_ap in rows_out:
-        print(f"{label:<40} mAP={mean_ap * 100:.2f}")
-    write_atomic(os.path.join(args.out, "ablation.csv"),
-                 ("features,mAP\n" + "".join(f"{label},{mean_ap!r}\n" for label, mean_ap in rows_out)).encode())
-    return 0
+    rows = []
+    for i, label in enumerate(ABLATION_ROWS):
+        names = label.split("+")
+        modalities = tuple(dataclasses.replace(configured.get(s.name, s), temporal_average=f"{s.name}*" in names)
+                           for s in default_modalities([name.rstrip("*") for name in names]))
+        cfg = dataclasses.replace(base, model=dataclasses.replace(base.model, modalities=modalities),
+                                  seed=derive_seed(base.seed, "ablate", i), checkpoint_dir=None)
+        rows.append((f"{label:<40}", label, cfg, splits))
+    return _run_table(args, base.to_dict(), "ablation.csv", "features,mAP", rows)
 
 
 SWEEP_FRAME_COUNTS = (8, 16, 32, 64, 128, 256)
@@ -243,24 +233,17 @@ def cmd_frames_sweep(args) -> int:
     frame_counts = tuple(int(x) for x in frames)
     if "clip" not in {s.name for s in base.model.modalities}:
         raise ConfigError("frames-sweep needs the clip modality enabled")
-    _write_run_manifest(args, {**base.to_dict(), "frames": list(frame_counts)}, base.seed)
-    jobs = []
+    clip_only = tuple(s for s in base.model.modalities if s.name == "clip")
+    rows = []
     for n_frames in frame_counts:
         sub = {k: _subsample_clip(v, n_frames, derive_seed(base.seed, "sweep", n_frames)) for k, v in splits.items()}
         for arch in ("mlp", "single_transformer"):
-            model_cfg = dataclasses.replace(
-                base.model, architecture=arch,
-                modalities=tuple(s for s in base.model.modalities if s.name == "clip"))
-            cfg = dataclasses.replace(base, model=model_cfg,
-                                      seed=derive_seed(base.seed, "sweep-row", n_frames, arch),
+            model_cfg = dataclasses.replace(base.model, architecture=arch, modalities=clip_only)
+            cfg = dataclasses.replace(base, model=model_cfg, seed=derive_seed(base.seed, "sweep-row", n_frames, arch),
                                       checkpoint_dir=None)
-            jobs.append(((n_frames, arch), cfg, sub))
-    rows = [(key[0], key[1], mean_ap) for key, mean_ap in _run_rows(jobs, args.threads)]
-    for n_frames, arch, mean_ap in rows:
-        print(f"n={n_frames:<4} {arch:<20} mAP={mean_ap * 100:.2f}")
-    write_atomic(os.path.join(args.out, "frames_sweep.csv"),
-                 ("frames,model,mAP\n" + "".join(f"{n},{arch},{mean_ap!r}\n" for n, arch, mean_ap in rows)).encode())
-    return 0
+            rows.append((f"n={n_frames:<4} {arch:<20}", f"{n_frames},{arch}", cfg, sub))
+    return _run_table(args, {**base.to_dict(), "frames": list(frame_counts)}, "frames_sweep.csv", "frames,model,mAP",
+                      rows)
 
 
 # -- argument parsing --------------------------------------------------------

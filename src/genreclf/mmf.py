@@ -215,7 +215,7 @@ def _check_npy_array(arr: np.ndarray, expect_dim: int, label: str):
         raise DataError(f"{label}: rank must be 2 (T, D), got rank {arr.ndim} shape {arr.shape}")
     if arr.dtype not in (np.float32, np.float64):
         raise DataError(f"{label}: dtype must be float32 or float64, got {arr.dtype}")
-    if arr.ndim == 2 and arr.shape[0] > 1 and arr.shape[1] > 1 and arr.flags["F_CONTIGUOUS"] and not arr.flags["C_CONTIGUOUS"]:
+    if arr.shape[0] > 1 and arr.shape[1] > 1 and arr.flags["F_CONTIGUOUS"] and not arr.flags["C_CONTIGUOUS"]:
         raise DataError(f"{label}: array is Fortran-ordered; re-export in C order")
     if arr.shape[1] != expect_dim:
         raise DataError(f"{label}: feature width {arr.shape[1]} != expected {expect_dim}")

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from string import Template
@@ -15,7 +16,7 @@ import genreclf
 from genreclf.cli import main
 from genreclf.data import load_manifest
 from genreclf.metrics import report_from_csv
-from genreclf.mmf import read_mmf
+from genreclf.mmf import read_mmf, write_mmf
 from genreclf.vocab import GENRES
 from jsonedit import DROP, edited
 
@@ -345,19 +346,20 @@ class TestAblate:
         assert main(["ablate", "--config", cfg, "--data", order_data, "--out", str(tmp_path / "ablate")]) == 0
         sizes = {name: (s.input_dim, s.train_max_len) for name, s in SPEC_BY_NAME.items()} | {"clip": (16, 12)}
         assert len(seen) == len(cli.ABLATION_ROWS)
-        for model, row in zip(seen, cli.ABLATION_ROWS):
-            assert [s.name for s in model.modalities] == [n for n in SPEC_BY_NAME if n in row["modalities"]]
+        for model, label in zip(seen, cli.ABLATION_ROWS):
+            names = label.split("+")
+            assert [s.name for s in model.modalities] == [n for n in SPEC_BY_NAME if n in names or f"{n}*" in names]
             for s in model.modalities:
                 assert (s.input_dim, s.train_max_len) == sizes[s.name]
-                assert s.temporal_average == (s.name in row["averaged"])
+                assert s.temporal_average == (f"{s.name}*" in names)
 
-
-    def test_worker_count_is_capped_at_the_number_of_rows(self, monkeypatch):
+    def test_worker_count_is_capped_at_the_number_of_rows(self, monkeypatch, tmp_path, capsys):
+        import argparse
         import concurrent.futures
         import genreclf.cli as cli
 
         class InlineExecutor:
-            """Records max_workers and runs each job at submit; starts no process."""
+            """Records max_workers and runs the jobs in this process; starts no process."""
             seen = []
 
             def __init__(self, max_workers):
@@ -369,16 +371,18 @@ class TestAblate:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(cli, "_train_eval_once", lambda cfg, splits: cfg / 10)
-        jobs = [(f"row{i}", i, None) for i in range(3)]
-        assert cli._run_rows(jobs, 64) == [("row0", 0.0), ("row1", 0.1), ("row2", 0.2)]
-        assert cli._run_rows(jobs, 2) == [("row0", 0.0), ("row1", 0.1), ("row2", 0.2)]
+        rows = [(f"row{i}", f"{i},row{i}", i, None) for i in range(3)]
+        for threads in (64, 2):
+            args = argparse.Namespace(command="ablate", argv=[], out=str(tmp_path / str(threads)), threads=threads)
+            assert cli._run_table(args, {"seed": 0}, "table.csv", "n,row,mAP", rows) == 0
+            assert capsys.readouterr().out == "row0 mAP=0.00\nrow1 mAP=10.00\nrow2 mAP=20.00\n"
+            csv = (tmp_path / str(threads) / "table.csv").read_text()
+            assert csv == "n,row,mAP\n0,row0,0.0\n1,row1,0.1\n2,row2,0.2\n"
         assert InlineExecutor.seen == [3, 2]
 
 
@@ -443,6 +447,15 @@ def _config(arch, path, value):
 def _manifest(*samples, genres=GENRES):
     """A ``write`` of a dataset manifest to ``$tmp/data/manifest.json``."""
     return "$tmp/data/manifest.json", json.dumps({"genres": genres, "samples": list(samples)}).encode()
+
+
+def _without_clip(old):
+    """A ``write`` function: the old .mmf bytes rewritten through ``write_mmf`` without the clip stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "record.mmf")
+        Path(path).write_bytes(old)
+        write_mmf({name: arr for name, arr in read_mmf(path).items() if name != "clip"}, path)
+        return Path(path).read_bytes()
 
 
 IMPORT = "import --npy-dir $tmp --manifest $tmp/src.json --out $tmp/out"
@@ -607,6 +620,12 @@ REFUSALS = [
       for threshold in ("nan", "inf", "-0.1", "1.5") for command in ("eval", "predict")),
     Refusal("eval-missing-checkpoint", "eval --checkpoint $tmp/nope --data $mean_data --out $tmp/out", 3,
             "data error: [Errno 2] No such file or directory: '$tmp/nope.json'\n", absent=("$tmp/out",)),
+    # the sweep reads every record's clip frames before it writes anything
+    Refusal("frames-record-without-clip", "frames-sweep --preset mlp --modalities clip --data $mean_data "
+            "--out $tmp/out", 3, "data error: record synth000003 has no clip features\n", absent=("$tmp/out",),
+            copy="mean_data", write=("$mean_data/synth000003.mmf", _without_clip)),
+    Refusal("ablate-averaged-not-enabled", "ablate --preset mlp --modalities clip --averaged ocr --data $mean_data "
+            "--out $tmp/out", 2, "config error: averaged modalities not enabled: ['ocr']\n", absent=("$tmp/out",)),
     *(Refusal(f"frames-{frames}", "frames-sweep --preset mlp --modalities clip --data $order_data "
                                   f"--frames {frames} --out $tmp/sweep", 2, "config error: ", ("--frames",),
               ("$tmp/sweep",))

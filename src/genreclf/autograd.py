@@ -4,15 +4,13 @@ Recording rule: every op computes its output, defines its backward closure
 and returns ``_record(out, backward_fn, *inputs)``, the one place that
 decides. When the tape is recording and an input requires gradients, it
 appends one node and marks the output as requiring gradients; otherwise the
-closure is dropped and the output is a constant. Only two ops ask
-``_wants_grad`` themselves, because their forward pass would otherwise build
-an array that backward alone reads: ``relu``'s positive mask and
-``attention``'s per-sequence probabilities. ``backward(loss)`` walks the tape
-in exact reverse recording order, accumulating gradients additively into each
-input's ``.grad`` array, then clears the tape. One backward pass per recorded
-graph; run forward again to differentiate again. Wrap pure inference in
-``no_grad()`` so nothing is recorded. ``attention`` is one node over packed
-sequences.
+closure is dropped, with every array it holds, and the output is a constant.
+No op asks whether it is recorded, so every forward computes the same arrays
+either way. ``backward(loss)`` walks the tape in exact reverse recording
+order, accumulating gradients additively into each input's ``.grad`` array,
+then clears the tape. One backward pass per recorded graph; run forward again
+to differentiate again. Wrap pure inference in ``no_grad()`` so nothing is
+recorded. ``attention`` is one node over packed sequences.
 
 Dtype contract: float32 is the training dtype and matrix products go
 through BLAS; a constant given to ``add`` or ``mul`` (scalar or array)
@@ -118,14 +116,10 @@ def clear_tape():
 
 def _record(out: Tensor, backward_fn, *inputs) -> Tensor:
     """``out``, with its node appended when an input wants a gradient."""
-    if _wants_grad(*inputs):
+    if _TAPE.recording and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPE.nodes.append((out, backward_fn))
     return out
-
-
-def _wants_grad(*tensors) -> bool:
-    return _TAPE.recording and any(isinstance(t, Tensor) and t.requires_grad for t in tensors)
 
 
 def backward(loss: Tensor):
@@ -193,11 +187,9 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0))
-    pos = x.data > 0 if _wants_grad(x) else None
-    def bwd(g, x=x, pos=pos):
-        x._accumulate(g * pos)
-    return _record(out, bwd, x)
+    def bwd(g, x=x):
+        x._accumulate(g * (x.data > 0))
+    return _record(Tensor(np.maximum(x.data, 0)), bwd, x)
 
 
 def sigmoid_array(z: np.ndarray) -> np.ndarray:
@@ -371,14 +363,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offsets: np.ndarray,
     def merge(a):  # (H, n, t, dh) -> (n * t, D)
         return a.transpose(1, 2, 0, 3).reshape(a.shape[1] * a.shape[2], -1)
 
-    keep, probs = _wants_grad(q, k, v), []
+    probs = []
     out = np.zeros((q.shape[0], v.shape[1]), dtype=np.result_type(q.data, k.data, v.data))
     for qi, ki, n, tq, t in stacks:
         p = _mm(split(q.data, qi, n, tq), split(k.data, ki, n, t).swapaxes(-1, -2))
         p *= scale
         out[qi] = merge(_mm(_softmax_(p), split(v.data, ki, n, t)))
-        if keep:
-            probs.append(p)
+        probs.append(p)
 
     def bwd(g, q=q, k=k, v=v):
         gq, gk, gv = (np.zeros_like(t.data) for t in (q, k, v))
@@ -430,10 +421,7 @@ def dropout(x: Tensor, rate: float, train: bool, rng: SeededRng = None, rows: np
         return x
     if rng is None:
         raise ValueError("train-mode dropout needs a SeededRng")
-    if rows is None:
-        keep = rng.uniform(x.shape) >= rate
-    else:
-        keep = rng.uniform_rows((total_rows,) + x.shape[1:], rows) >= rate
+    keep = rng.uniform(x.shape if rows is None else (total_rows,) + x.shape[1:], rows=rows) >= rate
     scale = 1.0 / (1.0 - rate)
     mask = keep.astype(x.dtype) * np.asarray(scale, dtype=x.dtype)
     def bwd(g, x=x, mask=mask):

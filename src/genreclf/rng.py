@@ -19,6 +19,8 @@ Steele/Vigna, expressed in counter form so that blocks of values can be
 generated with vectorized uint64 arithmetic. Floats in [0, 1) take the top
 53 bits of each output; normals use the Box-Muller transform on consecutive
 pairs of uniforms; permutations are the stable argsort of fresh uint64 keys.
+A dropout mask is one ``uniform`` draw over its tensor's padded shape; a
+packed tensor takes the rows of that draw at its rows' padded positions.
 """
 
 import numpy as np
@@ -91,23 +93,27 @@ class SeededRng:
         self.counter = (self.counter + n) & _MASK64
         return out
 
-    def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """Uniform float64 draws in [low, high) from the top 53 bits."""
-        n = int(np.prod(shape)) if shape else 1
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        out = low + (high - low) * u
-        return out.reshape(shape) if shape else out[0]
+    def uniform(self, shape=(), low: float = 0.0, high: float = 1.0, rows: np.ndarray = None) -> np.ndarray:
+        """Uniform float64 draws in [low, high) from the top 53 bits.
 
-    def uniform_rows(self, shape, rows: np.ndarray) -> np.ndarray:
-        """``uniform(shape)[rows]`` for an integer index array ``rows`` along
-        axis 0, computing only those rows' values. The counter advances past
-        the whole ``shape``."""
-        inner = int(np.prod(shape[1:]))
-        ks = (np.asarray(rows, dtype=np.uint64)[:, None] * np.uint64(inner)
-              + np.arange(1, inner + 1, dtype=np.uint64))
-        u = (self._outputs(ks.ravel()) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        self.counter = (self.counter + int(np.prod(shape))) & _MASK64
-        return u.reshape((len(rows),) + tuple(shape[1:]))
+        With an integer index array ``rows`` along axis 0 it returns
+        ``uniform(shape)[rows]``, computing only those rows' values. The
+        counter advances past the whole ``shape`` either way."""
+        n = int(np.prod(shape)) if shape else 1
+        if rows is None:
+            ks, out_shape = np.arange(1, n + 1, dtype=np.uint64), shape
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            if len(rows) and not 0 <= rows.min() <= rows.max() < shape[0]:
+                raise ValueError(f"rows must index axis 0 of shape {tuple(shape)}")
+            inner = int(np.prod(shape[1:]))
+            ks = (rows.astype(np.uint64)[:, None] * np.uint64(inner)
+                  + np.arange(1, inner + 1, dtype=np.uint64)).ravel()
+            out_shape = (len(rows),) + tuple(shape[1:])
+        u = (self._outputs(ks) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        self.counter = (self.counter + n) & _MASK64
+        out = low + (high - low) * u
+        return out.reshape(out_shape) if shape else out[0]
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on consecutive uniform pairs."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,8 +7,13 @@ from hypothesis.extra import numpy as hnp
 
 import genreclf.autograd as ag
 from genreclf.autograd import Tensor, backward, no_grad
+from genreclf.data import make_batch
 from genreclf.gradcheck import grad_check
+from genreclf.modalities import ModalitySpec
+from genreclf.models import ARCHITECTURES, ModelConfig, build_model
 from genreclf.rng import SeededRng
+from genreclf.synth import synth_mean_encoded
+from genreclf.training import weighted_bce
 
 
 def naive_matmul(a, b):
@@ -415,6 +422,34 @@ class TestDropout:
         assert got.tobytes() == want.tobytes()
         assert rows_rng.counter == full_rng.counter == 7 + x.size
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_every_mask_is_one_uniform_draw_of_the_padded_shape(self, monkeypatch, arch):
+        # one train-mode step; each layer's two masks cover its padded (B, T, D) layout,
+        # T = 1 + cap for a CLS-led stream and 1 + sum(1 + cap) for the fused sequence
+        specs, b, d, layers = (ModalitySpec("clip", 6, 4), ModalitySpec("audiotag", 5, 3)), 5, 8, 2
+        cfg = ModelConfig(architecture=arch, modalities=specs, model_dim=d, num_layers=layers, num_heads=2,
+                          dropout_rate=0.3)
+        widths = {"mlp": [], "single_transformer": [1 + sum(1 + s.train_max_len for s in specs)],
+                  "multi_transformer": [1 + s.train_max_len for s in specs]}[arch]
+        want = [(b, d)] if arch == "mlp" else [(b * t, d) for t in widths for _ in range(2 * layers)]
+        model, rng = build_model(cfg, seed=3), SeededRng(21, 5)
+        batch = make_batch(synth_mean_encoded(b, seed=4, specs=specs), specs)
+        draws, uniform = [], SeededRng.uniform
+
+        def spy(self, shape=(), *args, **kwargs):
+            before = self.counter
+            out = uniform(self, shape, *args, **kwargs)
+            if self is rng:
+                draws.append((tuple(shape), kwargs.get("rows") is not None, (self.counter - before) % 2**64))
+            return out
+
+        monkeypatch.setattr(SeededRng, "uniform", spy)
+        backward(weighted_bce(model.forward(batch, train=True, rng=rng), batch.labels, 1.0))
+        assert [shape for shape, _, _ in draws] == want
+        assert all(by_rows == (arch != "mlp") for _, by_rows, _ in draws)
+        assert [advance for _, _, advance in draws] == [t * w for t, w in want]
+        assert rng.counter == 5 + sum(t * w for t, w in want)
+
     def test_survivor_statistics(self):
         x = Tensor(np.ones(100000, dtype=np.float32))
         out = ag.dropout(x, 0.5, train=True, rng=SeededRng(12))
@@ -438,6 +473,21 @@ class TestTake:
         for i, row in enumerate(idx):
             want[row] += g[i]
         assert x.grad.tobytes() == want.tobytes()
+
+
+def test_recorded_relu_holds_only_its_output():
+    x = Tensor(SeededRng(19).normal((1000, 1000)).astype(np.float32), requires_grad=True)
+    ag.clear_tape()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ag.relu(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        ag.clear_tape()
+    assert out.requires_grad
+    assert held <= out.data.nbytes + 4096, held
 
 
 def test_finite_outputs_on_finite_inputs():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genreclf.rng import GOLDEN, SeededRng, derive_seed
@@ -77,20 +78,44 @@ def test_subsample_sorted():
 @example(seed=2, counter=2**64 - 3, n=2, d=3, rows=[1, 0])   # the counter wraps past 2**64
 @given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**48), n=st.integers(1, 12),
        d=st.integers(1, 6), rows=st.lists(st.integers(0, 11), max_size=12))
-def test_uniform_rows_index_the_full_draw(seed, counter, n, d, rows):
+def test_uniform_of_rows_indexes_the_full_draw(seed, counter, n, d, rows):
     rows = np.array([r for r in rows if r < n], dtype=np.int64)
     full, picked = SeededRng(seed, counter), SeededRng(seed, counter)
     want = full.uniform((n, d))[rows]
-    got = picked.uniform_rows((n, d), rows)
+    got = picked.uniform((n, d), rows=rows)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert picked.counter == full.counter == (counter + n * d) % 2**64
 
 
-def test_uniform_rows_of_rank_one_and_four():
+def test_uniform_of_rows_of_rank_one_and_four():
     rows = np.array([3, 0, 1])
     for shape in ((4,), (4, 5, 3, 2)):
         want = SeededRng(8, 3).uniform(shape)[rows]
-        assert SeededRng(8, 3).uniform_rows(shape, rows).tobytes() == want.tobytes()
+        assert SeededRng(8, 3).uniform(shape, rows=rows).tobytes() == want.tobytes()
+
+
+def test_uniform_of_no_rows_advances_past_the_shape():
+    rng = SeededRng(4, 9)
+    got = rng.uniform((5, 3), rows=np.array([], dtype=np.int64))
+    assert got.shape == (0, 3) and got.dtype == np.float64
+    assert rng.counter == 9 + 15
+
+
+@pytest.mark.parametrize("rows", [[3], [-1], [0, 3]])
+def test_uniform_of_rows_outside_the_shape_refused(rows):
+    # row 3 of a (3, 2) draw would be the next draw's first row, and -1 would wrap
+    rng = SeededRng(2)
+    with pytest.raises(ValueError, match="rows must index axis 0"):
+        rng.uniform((3, 2), rows=np.array(rows))
+    assert rng.counter == 0
+
+
+def test_uniform_of_rows_between_low_and_high():
+    rows = np.array([2, 2, 0])
+    want = SeededRng(6, 1).uniform((3, 4), -2.5, 7.0)[rows]
+    got = SeededRng(6, 1).uniform((3, 4), -2.5, 7.0, rows=rows)
+    assert got.tobytes() == want.tobytes()
+    assert np.all((got >= -2.5) & (got < 7.0))
 
 
 def test_state_round_trip_resumes_stream():

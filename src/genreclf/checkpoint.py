@@ -101,8 +101,8 @@ def read_checkpoint(stem: str, sha256: str = None) -> tuple[ModelConfig, dict[st
     """The model config in ``<stem>.json`` and the parameter arrays it
     describes in ``<stem>.bin``, whose SHA-256 must be ``sha256`` if given."""
     path = stem + ".json"
-    doc = read_json(path)
     with reading(path):
+        doc = read_json(path)
         if (version := config_field(doc, "format_version", int, where="checkpoint")) != CHECKPOINT_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint format version {version}")
         if doc.get("genres") != list(GENRES):

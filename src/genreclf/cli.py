@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .data import (VideoRecord, filter_by_duration, load_manifest,
                    split_records, write_manifest)
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, reading
 from .metrics import format_table, to_csv
 from .mmf import import_npy, read_json, write_atomic, write_json, write_mmf
 from .models import ARCHITECTURES, ModelConfig, predict
@@ -44,7 +44,8 @@ def _write_run_manifest(args, resolved: dict, seed: int):
 
 def _load_train_config(args) -> TrainConfig:
     if args.config:
-        cfg = TrainConfig.from_dict(read_json(args.config))
+        with reading(args.config, ConfigError):
+            cfg = TrainConfig.from_dict(read_json(args.config))
     elif args.preset:
         model = ModelConfig.preset(args.preset,
                                    modalities=args.modalities.split(",") if args.modalities else None,
@@ -174,10 +175,12 @@ def _train_eval_once(cfg: TrainConfig, splits) -> float:
 def _run_table(args, resolved: dict, csv_name: str, header: str, rows) -> int:
     """Write the run manifest of the resolved config, then train and score
     each (shown, fields, cfg, splits) row, in row order or under
-    ``--threads`` in worker processes, at most one per row; print ``shown``
+    ``--threads`` (>= 1) worker processes, at most one per row; print ``shown``
     and the row's mAP, and write ``fields`` and the mAP as a CSV line. Each
     row carries its own seed, so the results do not depend on the execution
     mode."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     _write_run_manifest(args, resolved, resolved["seed"])
     shown, fields, cfgs, splits = zip(*rows)
     if args.threads > 1:

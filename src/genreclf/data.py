@@ -125,10 +125,10 @@ def load_manifest(path: str) -> list[VideoRecord]:
     """Read a dataset manifest. Unknown genre names are dropped (the source
     catalog carries more genres than the 21 used here); records left with no
     known genre are rejected."""
-    doc = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with reading(path):
+        doc = read_json(path)
         samples = config_field(doc, "samples", list, where="manifest")
         if doc.get("genres") != list(GENRES):
             raise DataError(f"{path}: manifest genre vocabulary does not match the fixed 21-genre list")

@@ -37,6 +37,14 @@ def is_kind(value, kind: type) -> bool:
     return isinstance(value, (list, tuple)) if kind is list else type(value) is kind   # to_dict keeps tuples
 
 
+def refuse_unless(where: str, *checks):
+    """A ConfigError ``<where> field '<field>' must be <what>, got <value>`` for the first (field, value, ok,
+    what) check that is not ok. Every ``ok`` is computed first, so no rule may raise on a value another refuses."""
+    for field, value, ok, what in checks:
+        if not ok:
+            raise ConfigError(f"{where} field {field!r} must be {what}, got {value!r:.80}")
+
+
 def config_field(d, key: str, kind, default=_REQUIRED, where: str = "config"):
     """``d[key]`` if it is a ``kind`` (see ``is_kind``), else a ConfigError
     naming the field. ``kind`` is a type, or a ``type | None`` that also
@@ -51,27 +59,29 @@ def config_field(d, key: str, kind, default=_REQUIRED, where: str = "config"):
     if value is None and nullable:
         return None
     kind = kind.__args__[0] if nullable else kind
-    if not is_kind(value, kind):
-        raise ConfigError(f"{where} field {key!r} must be {_KINDS[kind]}{' or null' if nullable else ''}, "
-                          f"got {value!r:.80}")
+    refuse_unless(where, (key, value, is_kind(value, kind), f"{_KINDS[kind]}{' or null' if nullable else ''}"))
     return float(value) if kind is float else value
 
 
 def config_fields(cls, d, where: str, **given):
     """A ``cls`` dataclass from ``given`` and ``d``: each other field is read
     by ``config_field`` as its annotation (``int | None`` reads an int or a
-    null), with the field's own default if it has one."""
+    null), with the field's own default if it has one; any other key is refused."""
     for f in dataclasses.fields(cls):
         if f.name not in given:
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
             given[f.name] = config_field(d, f.name, f.type, default, where)
+    for key in d:   # every field is in ``given`` now
+        if key not in given:
+            raise ConfigError(f"{where} field {key!r} is not one of {', '.join(sorted(given))}")
     return cls(**given)
 
 
 @contextlib.contextmanager
-def reading(path: str):
-    """A ConfigError raised inside becomes a DataError naming the data file ``path`` (exit 3, not 2)."""
+def reading(path: str, error=DataError):
+    """A ConfigError raised inside (by ``read_json`` or a field's rule) becomes an ``error`` whose message
+    starts with ``path``: a DataError (exit 3) for a data file, a ConfigError (exit 2) for a ``--config`` file."""
     try:
         yield
     except ConfigError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise error(f"{path}: {exc}") from None

@@ -134,9 +134,11 @@ def read_json(path: str):
     and column), an integer past Python's digit limit, nesting past its
     recursion limit, ``NaN``, ``Infinity`` and numbers past the float range,
     and a string holding a lone surrogate (``"\\ud800"``, which no UTF-8
-    file can hold) are a DataError."""
+    file can hold) are a ConfigError that does not name the file: each
+    caller reads inside its own ``errors.reading(path)``, which names it and
+    sets the exit code. A file that cannot be opened is an OSError."""
     def reject(text):
-        raise DataError(f"{path}: {text} is not a standard JSON number")
+        raise ConfigError(f"{text} is not a standard JSON number")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -147,12 +149,11 @@ def read_json(path: str):
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         return doc
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ConfigError(f"not UTF-8 text: {exc}") from None
     except UnicodeEncodeError as exc:
-        raise DataError(f"{path}: a string holds a lone surrogate: "
-                        f"{exc.object[max(exc.start - 40, 0):exc.end]!r}") from None
+        raise ConfigError(f"a string holds a lone surrogate: {exc.object[max(exc.start - 40, 0):exc.end]!r}") from None
     except (ValueError, RecursionError) as exc:   # json.JSONDecodeError is a ValueError
-        raise DataError(f"{path}: not standard JSON: {exc}") from None
+        raise ConfigError(f"not standard JSON: {exc}") from None
 
 
 def read_mmf(path: str) -> dict[str, np.ndarray]:
@@ -238,9 +239,8 @@ def import_npy(npy_dir: str, manifest_path: str, out_dir: str, specs) -> dict:
     from .data import VideoRecord, write_manifest
     from .vocab import GENRES
 
-    src = read_json(manifest_path)
     with reading(manifest_path):
-        samples = config_field(src, "samples", list, [], "source manifest")
+        samples = config_field(read_json(manifest_path), "samples", list, [], "source manifest")
     spec_by_name = {s.name: s for s in specs}
     records = {}   # by id
     errors = []

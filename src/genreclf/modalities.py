@@ -10,7 +10,7 @@ for the noisier text-derived streams.
 
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, config_field, config_fields
+from .errors import ConfigError, config_field, config_fields, refuse_unless
 
 
 @dataclass(frozen=True)
@@ -21,17 +21,15 @@ class ModalitySpec:
     temporal_average: bool = False
 
     def __post_init__(self):
-        for key in ("input_dim", "train_max_len"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"modality {self.name!r} field {key!r} must be >= 1, got {getattr(self, key)}")
+        refuse_unless(f"modality {self.name!r}", *((key, getattr(self, key), getattr(self, key) >= 1, ">= 1")
+                                                   for key in ("input_dim", "train_max_len")))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalitySpec":
         """A spec from config: the name must be a default-schema modality,
         else a ConfigError naming it; sizes are checked when a spec is built."""
         name = config_field(d, "name", str, where="modality")
-        if name not in SPEC_BY_NAME:
-            raise ConfigError(f"modality {name!r} is not one of {', '.join(SPEC_BY_NAME)}")
+        refuse_unless("modality", ("name", name, name in SPEC_BY_NAME, f"one of {', '.join(SPEC_BY_NAME)}"))
         return config_fields(cls, d, f"modality {name!r}", name=name)
 
 

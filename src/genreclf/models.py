@@ -28,7 +28,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .data import Batch, make_batch, temporal_average  # noqa: F401  (perfbench traces models.temporal_average)
-from .errors import ConfigError, DataError, NumericError, config_field, config_fields
+from .errors import ConfigError, DataError, NumericError, config_field, config_fields, refuse_unless
 from .modalities import ModalitySpec, default_modalities
 from .nn import Linear, ParameterStore, Segments, TransformerEncoderLayer, init_embedding
 from .rng import SeededRng, derive_seed
@@ -54,29 +54,21 @@ class ModelConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if min(self.model_dim, self.num_layers, self.num_heads) < 1:
-            raise ConfigError(f"model_dim, num_layers and num_heads must be >= 1, "
-                              f"got {self.model_dim}, {self.num_layers} and {self.num_heads}")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not 0 <= self.threshold <= 1:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not 0 < self.positive_weight < np.inf:
-            raise ConfigError(f"positive_weight must be finite and > 0, got {self.positive_weight}")
-        if self.architecture != "mlp" and self.model_dim % self.num_heads != 0:
-            raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         names = [s.name for s in self.modalities]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate modality names: {names}")
-        if not self.modalities:
-            raise ConfigError("at least one modality is required")
+        refuse_unless("model",
+                      ("architecture", self.architecture, self.architecture in PRESETS, f"one of {', '.join(PRESETS)}"),
+                      *((key, getattr(self, key), getattr(self, key) >= 1, ">= 1")
+                        for key in ("model_dim", "num_layers", "num_heads")),
+                      ("dropout_rate", self.dropout_rate, 0 <= self.dropout_rate < 1, "in [0, 1)"),
+                      ("threshold", self.threshold, 0 <= self.threshold <= 1, "in [0, 1]"),
+                      ("positive_weight", self.positive_weight, 0 < self.positive_weight < np.inf, "finite and > 0"),
+                      ("num_heads", self.num_heads, self.architecture == "mlp" or self.num_heads < 1
+                       or self.model_dim % self.num_heads == 0, f"a divisor of model_dim {self.model_dim}"),
+                      ("modalities", names, len(set(names)) == len(names) >= 1, "a non-empty list with distinct names"))
 
     @classmethod
     def preset(cls, architecture: str, modalities=None, averaged=(), **overrides) -> "ModelConfig":
-        if architecture not in PRESETS:
-            raise ConfigError(f"unknown architecture {architecture!r}")
+        refuse_unless("model", ("architecture", architecture, architecture in PRESETS, f"one of {', '.join(PRESETS)}"))
         kw = dict(PRESETS[architecture])
         kw["modalities"] = default_modalities(modalities, averaged)
         kw.update(overrides)

@@ -13,7 +13,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import read_blob, read_checkpoint, save_checkpoint, write_blob
 from .data import make_batch
-from .errors import ConfigError, DataError, NumericError, config_field, config_fields, is_kind, reading
+from .errors import (ConfigError, DataError, NumericError, config_field, config_fields, is_kind, reading,
+                     refuse_unless)
 from .metrics import MetricsReport, compute_report, report_from_csv, to_csv
 from .mmf import read_json, write_json
 from .models import ModelConfig, build_model, predict_scores
@@ -64,13 +65,12 @@ class TrainConfig:
 
     def __post_init__(self):
         """Refuse settings the loop cannot run with (lr 0 and max_steps 0 run)."""
-        for name, ok, what in (("batch_size", self.batch_size >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
-                               ("max_steps", self.max_steps is None or self.max_steps >= 0, ">= 0 or null"),
-                               ("eval_interval", self.eval_interval >= 0, ">= 0"),
-                               ("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
-                               ("clip_norm", 0 < self.clip_norm < math.inf, "finite and > 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        refuse_unless("config", ("batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
+                      ("epochs", self.epochs, self.epochs >= 0, ">= 0"),
+                      ("max_steps", self.max_steps, self.max_steps is None or self.max_steps >= 0, ">= 0 or null"),
+                      ("eval_interval", self.eval_interval, self.eval_interval >= 0, ">= 0"),
+                      ("lr", self.lr, 0 <= self.lr < math.inf, "finite and >= 0"),
+                      ("clip_norm", self.clip_norm, 0 < self.clip_norm < math.inf, "finite and > 0"))
 
 
 @dataclass
@@ -128,18 +128,16 @@ class TrainerState:
         def pairs(value, second):   # [count, x] pairs with second(x) true
             return all(isinstance(p, (list, tuple)) and len(p) == 2 and count(p[0]) and second(p[1]) for p in value)
 
-        for name, ok, what in (
-                ("version", self.version == TRAINER_STATE_VERSION, str(TRAINER_STATE_VERSION)),
-                *((name, count(getattr(self, name)), "an integer in [0, 2**63)")
-                  for name in ("global_step", "epoch", "step_in_epoch", "adam_t")),
-                ("dropout_rng", all(count(self.dropout_rng.get(k), 2**64) for k in ("seed", "counter")),
-                 "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
-                ("losses", pairs(self.losses, lambda loss: is_kind(loss, float)), "a list of [step, loss] pairs"),
-                ("evals", pairs(self.evals, _is_report_csv), "a list of [step, report CSV] pairs"),
-                ("sha256", all(isinstance(self.sha256.get(k), str) for k in ("last.bin", "trainer_state.bin")),
-                 "{last.bin: string, trainer_state.bin: string}")):
-            if not ok:
-                raise ConfigError(f"trainer state field {name!r} must be {what}, got {getattr(self, name)!r:.80}")
+        refuse_unless("trainer state", *((name, getattr(self, name), ok, what) for name, ok, what in (
+            ("version", self.version == TRAINER_STATE_VERSION, str(TRAINER_STATE_VERSION)),
+            *((name, count(getattr(self, name)), "an integer in [0, 2**63)")
+              for name in ("global_step", "epoch", "step_in_epoch", "adam_t")),
+            ("dropout_rng", all(count(self.dropout_rng.get(k), 2**64) for k in ("seed", "counter")),
+             "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
+            ("losses", pairs(self.losses, lambda loss: is_kind(loss, float)), "a list of [step, loss] pairs"),
+            ("evals", pairs(self.evals, _is_report_csv), "a list of [step, report CSV] pairs"),
+            ("sha256", all(isinstance(self.sha256.get(k), str) for k in ("last.bin", "trainer_state.bin")),
+             "{last.bin: string, trainer_state.bin: string}"))))
 
 
 def _eval_bucket(config: ModelConfig) -> int:

@@ -461,6 +461,7 @@ def _without_clip(old):
 IMPORT = "import --npy-dir $tmp --manifest $tmp/src.json --out $tmp/out"
 TRAIN_MANIFEST = "train --preset mlp --data $tmp/data --out $tmp/x"
 TRAIN_CONFIG = "train --config $tmp/config.json --data $mean_data --out $tmp/x"
+CONFIG_ERROR = "config error: $tmp/config.json: "   # a refused --config file is named, and exits 2
 RESUME = "train --config $saved/config.json --data $mean_data --out $tmp/resumed --resume $saved"
 RUN = {"eval": ("eval --checkpoint $trained/best --data $mean_data --out $tmp/out", ("$tmp/out",)),
        "predict": ("predict --checkpoint $trained/best --input $mean_data/synth000000.mmf", ())}
@@ -514,7 +515,7 @@ REFUSALS = [
       for i, flags in enumerate(["--batch-size 0", "--epochs -1", "--max-steps -1", "--eval-interval -2",
                                  "--lr -0.001", "--lr nan", "--modalities nope", "--modalities ,",
                                  "--modalities clip --averaged ocr"])),
-    *(Refusal(f"config-field-{id}", TRAIN_CONFIG, 2, "config error: ", (path[-1],), ("$tmp/x",),
+    *(Refusal(f"config-field-{id}", TRAIN_CONFIG, 2, CONFIG_ERROR, (path[-1],), ("$tmp/x",),
               write=_config("mlp", path, value))
       for id, path, value in [
           ("path0-x", ("model", "model_dim"), "x"), ("path1-0", ("model", "num_heads"), 0),
@@ -524,16 +525,30 @@ REFUSALS = [
           ("path6-True", ("batch_size",), True), ("path7-0", ("batch_size",), 0), ("path8-1.5", ("max_steps",), 1.5),
           ("path9-1e-3", ("lr",), "1e-3"), ("path10-0", ("clip_norm",), 0), ("path11--1.0", ("clip_norm",), -1.0),
           ("path12-3", ("seed",), "3"), ("path13-value13", ("model",), [])]),
-    *(Refusal(f"config-modality-size-{arch}-{field}-{value}", TRAIN_CONFIG, 2, "config error: ",
+    *(Refusal(f"config-modality-size-{arch}-{field}-{value}", TRAIN_CONFIG, 2, CONFIG_ERROR,
               (f"'clip' field '{field}' must be >= 1",), ("$tmp/x",),
               write=_config(arch, ("model", "modalities", 0, field), value))
       for arch, field, value in [("single_transformer", "train_max_len", 0), ("mlp", "train_max_len", -2),
                                  ("mlp", "input_dim", 0), ("multi_transformer", "input_dim", -512)]),
-    Refusal("config-modality-outside-schema", TRAIN_CONFIG, 2, "config error: ", ("'nope'",), ("$tmp/x",),
+    Refusal("config-modality-outside-schema", TRAIN_CONFIG, 2, CONFIG_ERROR, ("'nope'",), ("$tmp/x",),
             write=_config("mlp", ("model", "modalities"), [{"name": "nope", "input_dim": 8, "train_max_len": 4}])),
-    Refusal("config-threshold", TRAIN_CONFIG, 2, "config error: ", ("threshold must be in [0, 1], got 7.0",),
-            ("$tmp/x",), write=_config("mlp", ("model", "threshold"), 7.0)),
-    *(Refusal(f"config-num-layers-{arch}", TRAIN_CONFIG, 2, "config error: ", ("num_layers",), ("$tmp/x",),
+    Refusal("config-threshold", TRAIN_CONFIG, 2, CONFIG_ERROR + "model field 'threshold' must be in [0, 1], got 7.0\n",
+            absent=("$tmp/x",), write=_config("mlp", ("model", "threshold"), 7.0)),
+    # a misspelled field is refused, not dropped for its default
+    Refusal("config-unknown-field", TRAIN_CONFIG, 2,
+            CONFIG_ERROR + "config field 'learning_rate' is not one of batch_size, checkpoint_dir, clip_norm, epochs, "
+            "eval_interval, lr, max_steps, model, seed\n", absent=("$tmp/x",),
+            write=_config("mlp", ("learning_rate",), 0.5)),
+    Refusal("config-unknown-model-field", TRAIN_CONFIG, 2,
+            CONFIG_ERROR + "model field 'dropout' is not one of architecture, dropout_rate, modalities, model_dim, "
+            "num_heads, num_layers, positive_weight, threshold\n", absent=("$tmp/x",),
+            write=_config("mlp", ("model", "dropout"), 0.1)),
+    *(Refusal(f"config-text-{id}", TRAIN_CONFIG, 2, CONFIG_ERROR + message, absent=("$tmp/x",),
+              write=("$tmp/config.json", text))
+      for id, text, message in [("not-json", b'{"model": ', "not standard JSON: Expecting value: line 1 column 11"),
+                                ("nan", b'{"lr": NaN}', "NaN is not a standard JSON number\n"),
+                                ("not-an-object", b"[]", "config is not an object: []\n")]),
+    *(Refusal(f"config-num-layers-{arch}", TRAIN_CONFIG, 2, CONFIG_ERROR, ("num_layers",), ("$tmp/x",),
               write=_config(arch, ("model", "num_layers"), 0))
       for arch in ("mlp", "single_transformer", "multi_transformer")),
     # every size here asks for more than 1 EiB, so the allocation fails at once
@@ -588,8 +603,9 @@ REFUSALS = [
     *(Refusal(f"checkpoint-modality-{key}-{value}-{named}", RUN["eval"][0], 3, "data error: ", (named,),
               ("$tmp/out",), copy="trained", edit=("$trained/best.json", ("config", "modalities", 0, key), value))
       for key, value, named in [("name", "nope", "'nope'"), ("train_max_len", 0, "'train_max_len'")]),
-    *(Refusal(f"checkpoint-threshold-{command}", RUN[command][0], 3, "data error: ", ("threshold must be in [0, 1]",),
-              RUN[command][1], copy="trained", edit=("$trained/best.json", ("config", "threshold"), 7.0))
+    *(Refusal(f"checkpoint-threshold-{command}", RUN[command][0], 3,
+              "data error: $trained/best.json: model field 'threshold' must be in [0, 1], got 7.0\n",
+              absent=RUN[command][1], copy="trained", edit=("$trained/best.json", ("config", "threshold"), 7.0))
       for command in ("eval", "predict")),
     # the manifest still fits the blob, so only building the model fails, asking for more than 1 EiB
     *(Refusal(f"checkpoint-too-large-{id}-{command}", RUN[command][0], 3,
@@ -630,6 +646,8 @@ REFUSALS = [
                                   f"--frames {frames} --out $tmp/sweep", 2, "config error: ", ("--frames",),
               ("$tmp/sweep",))
       for frames in ("x", "-3", "0", "8,0", "8,", "1.5")),
+    Refusal("threads-below-one", "--threads -3 frames-sweep --preset mlp --modalities clip --data $order_data "
+            "--frames 8 --out $tmp/sweep", 2, "config error: --threads must be >= 1, got -3\n", absent=("$tmp/sweep",)),
 ]
 
 
@@ -671,9 +689,10 @@ def test_refused_command(row, request, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    ("train --preset mlp --batch-size 0 --data $mean_data --out run", 2, "config error: batch_size"),
+    ("train --preset mlp --batch-size 0 --data $mean_data --out run", 2, "config error: config field 'batch_size'"),
     ("train --preset mlp --data utf16 --out run", 3, "manifest.json: not UTF-8 text"),
-    ("eval --checkpoint $trained/best --data $mean_data --threshold nan --out run", 2, "config error: threshold"),
+    ("eval --checkpoint $trained/best --data $mean_data --threshold nan --out run", 2,
+     "config error: model field 'threshold'"),
 ], ids=["config-error", "data-error", "eval-threshold-nan"])
 def test_module_entry_point_exits_with_the_code_and_no_traceback(request, tmp_path, argv, code, message):
     # a fresh interpreter, as the console script runs, rather than main() in this one

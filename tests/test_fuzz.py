@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genreclf.checkpoint import read_blob, read_checkpoint, save_checkpoint
+from genreclf.cli import _load_train_config, build_parser
 from genreclf.data import VideoRecord, load_manifest, split_dataset, write_manifest
 from genreclf.errors import ConfigError, DataError, NumericError
 from genreclf.metrics import MetricsReport, compute_report, report_from_csv, to_csv
@@ -262,11 +263,15 @@ NOT_JSON = [(b'{"a": ', "not standard JSON: Expecting value: line 1 column 7"),
 
 
 @pytest.mark.parametrize("text, message", NOT_JSON, ids=["cut", "extra", "float-range", "digits", "nested"])
-@pytest.mark.parametrize("reader", ("manifest", "checkpoint", "trainer_state"))
+@pytest.mark.parametrize("reader", ("manifest", "checkpoint", "trainer_state", "config"))
 def test_text_that_is_not_json_is_data_error_naming_the_place(tmp_path, checkpoint_stem, saved_run, reader, text,
                                                               message):
+    """A data file's is a DataError (exit 3); a ``--config`` file's a ConfigError (exit 2)."""
     run_dir, config, records = saved_run
-    if reader == "manifest":
+    if reader == "config":
+        path, read = tmp_path / "config.json", lambda p: _load_train_config(
+            build_parser().parse_args(["train", "--config", p, "--data", "data", "--out", "out"]))
+    elif reader == "manifest":
         path, read = tmp_path / "manifest.json", load_manifest
     elif reader == "checkpoint":
         path, read = tmp_path / "ck.json", lambda p: read_checkpoint(p[:-len(".json")])
@@ -276,7 +281,7 @@ def test_text_that_is_not_json_is_data_error_naming_the_place(tmp_path, checkpoi
         for name in ("last.json", "last.bin", "trainer_state.bin"):
             shutil.copyfile(os.path.join(run_dir, name), tmp_path / name)
     path.write_bytes(text)
-    with pytest.raises(DataError) as info:
+    with pytest.raises(ConfigError if reader == "config" else DataError) as info:
         read(str(path))
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 

@@ -109,6 +109,60 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             ModelConfig.preset("single_transformer", **overrides)
 
+    @staticmethod
+    def model(**fields):
+        return ModelConfig(**{"architecture": "single_transformer", "model_dim": 8, "num_layers": 1, "num_heads": 2,
+                              "modalities": (ModalitySpec(**TestConfig.CLIP),), **fields})
+
+    STATE = dict(version=training.TRAINER_STATE_VERSION, global_step=0, epoch=0, step_in_epoch=0, adam_t=0,
+                 adam_manifest=[], dropout_rng={"seed": 1, "counter": 0}, best_step=-1, best_map=None, losses=[],
+                 evals=[], sha256={"last.bin": "", "trainer_state.bin": ""})
+    SIZE = "an integer in [0, 2**63)"
+    # (build, where, field, what, got): each builds a dataclass with one value outside its field's range
+    RANGE_RULES = [
+        (lambda: ModalitySpec("clip", 0, 7), "modality 'clip'", "input_dim", ">= 1", "0"),
+        (lambda: ModalitySpec("clip", 10, -3), "modality 'clip'", "train_max_len", ">= 1", "-3"),
+        (lambda: ModalitySpec.from_dict({**TestConfig.CLIP, "name": "nope"}), "modality", "name",
+         "one of clip, ocr, asr, audiotag, musicnet", "'nope'"),
+        (lambda: TestConfig.model(architecture="cnn"), "model", "architecture",
+         "one of mlp, single_transformer, multi_transformer", "'cnn'"),
+        (lambda: ModelConfig.preset("rnn"), "model", "architecture",
+         "one of mlp, single_transformer, multi_transformer", "'rnn'"),
+        (lambda: TestConfig.model(model_dim=0), "model", "model_dim", ">= 1", "0"),
+        (lambda: TestConfig.model(num_layers=-1), "model", "num_layers", ">= 1", "-1"),
+        (lambda: TestConfig.model(num_heads=0), "model", "num_heads", ">= 1", "0"),   # not a division by zero
+        (lambda: TestConfig.model(dropout_rate=1.0), "model", "dropout_rate", "in [0, 1)", "1.0"),
+        (lambda: TestConfig.model(threshold=float("nan")), "model", "threshold", "in [0, 1]", "nan"),
+        (lambda: TestConfig.model(positive_weight=float("inf")), "model", "positive_weight", "finite and > 0",
+         "inf"),
+        (lambda: TestConfig.model(num_heads=3), "model", "num_heads", "a divisor of model_dim 8", "3"),
+        (lambda: TestConfig.model(modalities=()), "model", "modalities", "a non-empty list with distinct names", "[]"),
+        (lambda: TestConfig.model(modalities=(ModalitySpec(**TestConfig.CLIP),) * 2), "model", "modalities",
+         "a non-empty list with distinct names", "['clip', 'clip']"),
+        *((lambda field=field, value=value: TrainConfig(TestConfig.model(), **{field: value}), "config", field, what,
+           repr(value))
+          for field, value, what in [("batch_size", 0, ">= 1"), ("epochs", -1, ">= 0"),
+                                     ("max_steps", -1, ">= 0 or null"), ("eval_interval", -2, ">= 0"),
+                                     ("lr", float("nan"), "finite and >= 0"), ("clip_norm", 0.0, "finite and > 0")]),
+        *((lambda field=field, value=value: training.TrainerState(**{**TestConfig.STATE, field: value}),
+           "trainer state", field, what, repr(value))
+          for field, value, what in [
+              ("version", 2, str(training.TRAINER_STATE_VERSION)), ("global_step", -1, SIZE), ("epoch", 2**63, SIZE),
+              ("step_in_epoch", True, SIZE), ("adam_t", 1.0, SIZE),
+              ("dropout_rng", {"seed": 1}, "{seed: integer in [0, 2**64), counter: integer in [0, 2**64)}"),
+              ("losses", [[0, "x"]], "a list of [step, loss] pairs"),
+              ("evals", [[0, "x"]], "a list of [step, report CSV] pairs"),
+              ("sha256", {"last.bin": ""}, "{last.bin: string, trainer_state.bin: string}")]),
+    ]
+
+    @pytest.mark.parametrize("build, where, field, what, got", RANGE_RULES,
+                             ids=[f"{where}-{field}-{got}" for _, where, field, _, got in RANGE_RULES])
+    def test_a_value_out_of_range_is_refused_in_the_words_of_a_value_of_the_wrong_kind(self, build, where, field,
+                                                                                        what, got):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == f"{where} field '{field}' must be {what}, got {got}"
+
     @pytest.mark.parametrize("key", ["input_dim", "train_max_len"])
     @pytest.mark.parametrize("value", [0, -3])
     @pytest.mark.parametrize("build", [
